@@ -785,9 +785,28 @@ void ShardedClient::submit(const MetaRequest &Req, Callback Done) {
   submitDirect(Req, std::move(Done));
 }
 
+/// Operations addressed by an open file handle alone (no path).
+static bool isHandleOp(MetaOp Op) {
+  switch (Op) {
+  case MetaOp::Close:
+  case MetaOp::Write:
+  case MetaOp::Read:
+  case MetaOp::Seek:
+  case MetaOp::Ftruncate:
+  case MetaOp::Lock:
+  case MetaOp::Unlock:
+    return true;
+  default:
+    return false;
+  }
+}
+
 void ShardedClient::submitDirect(const MetaRequest &Req, Callback Done) {
-  // Handle-based operations go to the shard that issued the handle.
-  if (Req.Fh != InvalidHandle && Req.Op != MetaOp::Open) {
+  // Handle-based operations go to the shard that issued the handle. One
+  // with no handle at all (write-behind translates a failed or retired
+  // queue-local handle to InvalidHandle) is a bad descriptor too.
+  if (isHandleOp(Req.Op) ||
+      (Req.Fh != InvalidHandle && Req.Op != MetaOp::Open)) {
     auto It = Handles.find(Req.Fh);
     if (It == Handles.end()) {
       failLocally(FsError::BadFd, std::move(Done));

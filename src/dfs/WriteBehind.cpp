@@ -108,8 +108,9 @@ MetaRequest WriteBehindQueue::translate(const MetaRequest &Req) const {
   if (!isLocalFh(Req.Fh))
     return Req;
   MetaRequest Out = Req;
-  if (auto It = LocalFhs.find(Req.Fh); It != LocalFhs.end())
-    Out.Fh = It->second.ServerFh; // InvalidHandle when the open failed
+  auto It = LocalFhs.find(Req.Fh);
+  // InvalidHandle when the open failed or a completed close retired it.
+  Out.Fh = It != LocalFhs.end() ? It->second.ServerFh : InvalidHandle;
   return Out;
 }
 
@@ -235,10 +236,18 @@ void WriteBehindQueue::indexOp(const Op &O) {
   if (path2IsPath(Req.Op))
     Index(Req.Path2);
   if (isLocalFh(Req.Fh))
-    LocalFhs[Req.Fh].LastOp = O.Id;
+    LocalFhs.at(Req.Fh).LastOp = O.Id;
 }
 
 void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
+  if (isLocalFh(Req.Fh) && !LocalFhs.count(Req.Fh)) {
+    // A completed close retired this handle: the application is using a
+    // closed descriptor.
+    MetaReply Reply;
+    Reply.Err = FsError::BadFd;
+    localAck(std::move(Done), std::move(Reply));
+    return;
+  }
   ++Enqueued;
   // Shadow the attribute cache *now*: between this local ack and the
   // flush, a cached stat must not serve the pre-mutation attrs (the
@@ -258,20 +267,18 @@ void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
   if (Hooks.AllocXid && Req.Xid == 0)
     Req.Xid = Hooks.AllocXid();
 
-  MetaReply Predicted = predictReply(Req);
-  if (isCreatingOpen(Req)) {
-    FileHandle Local = NextLocalFh++;
-    LocalFhs.emplace(Local, LocalHandle{});
-    Predicted.Fh = Local;
-    Predicted.A.Mode = Req.Mode;
-  }
-
   uint64_t Id = NextOpId++;
+  MetaReply Predicted = predictReply(Req);
   Op &O = Ops[Id];
   O.Id = Id;
+  if (isCreatingOpen(Req)) {
+    O.LocalFh = NextLocalFh++;
+    LocalFhs.emplace(O.LocalFh, LocalHandle{.OpenOp = Id});
+    Predicted.Fh = O.LocalFh;
+    Predicted.A.Mode = Req.Mode;
+  }
   O.Req = std::move(Req);
-  if (isCreatingOpen(O.Req))
-    LocalFhs[Predicted.Fh].OpenOp = Id;
+  Unflushed.push_back(Id);
 
   // Dependency edges (computed before indexing, so the op never depends
   // on itself): same-path chains, parent-directory ordering for
@@ -295,7 +302,7 @@ void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
       addDep(O, It->second);
   }
   if (isLocalFh(O.Req.Fh)) {
-    auto &H = LocalFhs[O.Req.Fh];
+    const LocalHandle &H = LocalFhs.at(O.Req.Fh);
     addDep(O, H.OpenOp);
     addDep(O, H.LastOp);
   }
@@ -348,24 +355,29 @@ void WriteBehindQueue::flush() {
 }
 
 void WriteBehindQueue::scheduleAll() {
-  for (auto &[Id, O] : Ops)
-    if (O.State == Op::St::Queued)
-      O.State = Op::St::Scheduled;
+  // Every St::Queued op is in Unflushed; entries a barrier already claimed
+  // (Scheduled, or finished and gone) are skipped.
+  std::vector<uint64_t> Claimed;
+  Claimed.reserve(Unflushed.size());
+  for (uint64_t Id : Unflushed)
+    if (auto It = Ops.find(Id);
+        It != Ops.end() && It->second.State == Op::St::Queued) {
+      It->second.State = Op::St::Scheduled;
+      Claimed.push_back(Id);
+    }
+  Unflushed.clear();
   QueuedCount = 0;
   QueuedBytes = 0;
-  issueReady();
+  issueReady(Claimed);
 }
 
-void WriteBehindQueue::issueReady() {
-  // Collect first: issuing can complete synchronously (failed-handle
-  // short-circuits) and mutate the map under an iterator.
-  std::vector<uint64_t> Ready;
-  for (auto &[Id, O] : Ops)
-    if (O.State == Op::St::Scheduled && O.PendingDeps == 0)
-      Ready.push_back(Id);
-  for (uint64_t Id : Ready) {
+void WriteBehindQueue::issueReady(const std::vector<uint64_t> &Claimed) {
+  // Only the ops just claimed can be ready: onOpDone issues any other
+  // Scheduled op the moment its last dependency completes.
+  for (uint64_t Id : Claimed) {
     auto It = Ops.find(Id);
-    if (It != Ops.end() && It->second.State == Op::St::Scheduled)
+    if (It != Ops.end() && It->second.State == Op::St::Scheduled &&
+        It->second.PendingDeps == 0)
       issueOp(It->second);
   }
 }
@@ -376,11 +388,12 @@ void WriteBehindQueue::issueOp(Op &O) {
   uint64_t Id = O.Id;
   MetaRequest Wire = O.Req;
   if (isLocalFh(Wire.Fh)) {
-    auto &H = LocalFhs[Wire.Fh];
-    if (H.Failed) {
-      // The creating open this op rode on never materialized; complete
-      // with the handle error without a round trip. Deferred a tick so
-      // the completion cascade never runs under issueReady()'s loop.
+    auto HIt = LocalFhs.find(Wire.Fh);
+    if (HIt == LocalFhs.end() || HIt->second.Failed) {
+      // The creating open this op rode on never materialized, or a close
+      // queued ahead of it retired the handle; complete with the handle
+      // error without a round trip. Deferred a tick so the completion
+      // cascade never runs under issueReady()'s loop.
       Sched.after(0, [this, Id]() {
         MetaReply R;
         R.Err = FsError::BadFd;
@@ -388,9 +401,9 @@ void WriteBehindQueue::issueOp(Op &O) {
       });
       return;
     }
-    DMB_ASSERT(H.ServerFh != InvalidHandle,
+    DMB_ASSERT(HIt->second.ServerFh != InvalidHandle,
                "write-behind issued a handle op before its open resolved");
-    Wire.Fh = H.ServerFh;
+    Wire.Fh = HIt->second.ServerFh;
   }
   Hooks.Issue(Wire, [this, Id](MetaReply Reply) {
     onOpDone(Id, std::move(Reply));
@@ -403,15 +416,13 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
   Op O = std::move(It->second);
   Ops.erase(It);
 
-  if (isCreatingOpen(O.Req)) {
-    // Resolve the queue-local handle the application is holding.
-    for (auto &[Local, H] : LocalFhs)
-      if (H.OpenOp == Id) {
-        H.OpenOp = 0;
-        H.ServerFh = Reply.Fh;
-        H.Failed = !Reply.ok();
-        break;
-      }
+  if (O.LocalFh != InvalidHandle) {
+    // Resolve the queue-local handle the application is holding. It is
+    // still live: every op that could retire it depends on this open.
+    LocalHandle &H = LocalFhs.at(O.LocalFh);
+    H.OpenOp = 0;
+    H.ServerFh = Reply.Fh;
+    H.Failed = !Reply.ok();
   }
   if (!Reply.ok() && Reply.Err != FsError::BadFd) {
     // A deferred op the application was already told succeeded has failed
@@ -478,7 +489,7 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
 void WriteBehindQueue::drainStalledAndBarriers() {
   while (!Stalled.empty() && Live < Policy.MaxQueuedOps) {
     std::function<void()> Next = std::move(Stalled.front());
-    Stalled.erase(Stalled.begin());
+    Stalled.pop_front();
     Next();
   }
   if (Live == 0 && Stalled.empty() && !IdleWaiters.empty()) {
@@ -517,10 +528,12 @@ void WriteBehindQueue::awaitClosure(std::vector<uint64_t> Seeds,
   }
   auto Remaining = std::make_shared<size_t>(Closure.size());
   auto Shared = std::make_shared<std::function<void()>>(std::move(Done));
+  std::vector<uint64_t> Claimed;
   for (uint64_t Id : Closure) {
     Op &O = Ops.at(Id);
     if (O.State == Op::St::Queued) {
       O.State = Op::St::Scheduled;
+      Claimed.push_back(Id);
       DMB_ASSERT(QueuedCount > 0, "write-behind queued count underflow");
       --QueuedCount;
       if (O.Req.Op == MetaOp::Write)
@@ -531,7 +544,11 @@ void WriteBehindQueue::awaitClosure(std::vector<uint64_t> Seeds,
         (*Shared)();
     });
   }
-  issueReady();
+  // With nothing left queued every Unflushed entry is stale; drop them
+  // here, since a flush may be long in coming.
+  if (QueuedCount == 0)
+    Unflushed.clear();
+  issueReady(Claimed);
 }
 
 FsError WriteBehindQueue::consumeSticky() {

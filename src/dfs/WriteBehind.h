@@ -40,6 +40,7 @@
 #include "dfs/ClientConfig.h"
 #include "dfs/Message.h"
 #include "sim/Scheduler.h"
+#include <deque>
 #include <functional>
 #include <map>
 #include <set>
@@ -146,6 +147,9 @@ private:
     std::vector<uint64_t> Dependents; ///< live ops waiting for this one
     unsigned PendingDeps = 0;
     std::vector<std::function<void()>> Waiters; ///< barrier continuations
+    /// The queue-local handle a creating open minted (InvalidHandle for
+    /// every other op), so its completion resolves the handle directly.
+    FileHandle LocalFh = InvalidHandle;
   };
 
   /// State of a queue-local file handle minted for a deferred creating
@@ -177,7 +181,9 @@ private:
   void armTimer();
   /// Marks every St::Queued op Scheduled and pumps issueReady().
   void scheduleAll();
-  void issueReady();
+  /// Issues the ops of \p Claimed (ascending ids, just moved to
+  /// St::Scheduled) whose dependencies have all completed.
+  void issueReady(const std::vector<uint64_t> &Claimed);
   void issueOp(Op &O);
   void onOpDone(uint64_t Id, MetaReply Reply);
   void drainStalledAndBarriers();
@@ -198,9 +204,11 @@ private:
   WriteBehindPolicy Policy;
   WriteBehindHooks Hooks;
 
-  std::map<uint64_t, Op> Ops; ///< live deferred ops by id (ordered: the
-                              ///< issue scan must be deterministic)
+  std::map<uint64_t, Op> Ops; ///< live deferred ops by id
   uint64_t NextOpId = 1;
+  /// Ids enqueued since the last flush, ascending. A superset of the
+  /// St::Queued ops: a barrier may claim some of them first.
+  std::vector<uint64_t> Unflushed;
   std::unordered_map<std::string, uint64_t> LastByPath;
   std::unordered_map<std::string, uint64_t> LastChildOf; ///< dir -> last op
                                                          ///< on a child
@@ -213,7 +221,7 @@ private:
   uint64_t TimerEpoch = 0;   ///< invalidates stale dwell timers
   bool TimerArmed = false;
 
-  std::vector<std::function<void()>> Stalled; ///< enqueues over the cap
+  std::deque<std::function<void()>> Stalled; ///< enqueues over the cap
   std::vector<std::function<void()>> IdleWaiters; ///< whole-queue barriers
 
   FsError Sticky = FsError::Ok;

@@ -16,7 +16,9 @@
 
 #include "dmetabench/DMetabench.h"
 #include <gtest/gtest.h>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -254,6 +256,60 @@ TEST(WriteBehind, FlushErrorIsStickyUntilTheNextBarrier) {
   EXPECT_EQ(FsError::Ok, runSync(S, *C, makeFsync(InvalidHandle)).Err);
 }
 
+/// Use after close on a queue-local handle: once the close has completed
+/// and retired the handle, every operation on it replies BadFd, and none
+/// of them re-enters the queue.
+void expectRetiredHandleRepliesBadFd(Scheduler &S, ClientFs &C,
+                                     const WriteBehindQueue &WB) {
+  MetaReply O = runSync(S, C, makeOpen("/f", OpenWrite | OpenCreate));
+  ASSERT_TRUE(O.ok());
+  ASSERT_EQ(FsError::Ok, runSync(S, C, makeClose(O.Fh)).Err);
+  ASSERT_EQ(FsError::Ok, runSync(S, C, makeFsync(InvalidHandle)).Err);
+  uint64_t Enqueued = WB.enqueuedOps();
+  EXPECT_EQ(FsError::BadFd, runSync(S, C, makeClose(O.Fh)).Err);
+  EXPECT_EQ(FsError::BadFd, runSync(S, C, makeWrite(O.Fh, 64)).Err);
+  EXPECT_EQ(FsError::BadFd, runSync(S, C, makeRead(O.Fh, 64)).Err);
+  EXPECT_EQ(Enqueued, WB.enqueuedOps());
+  EXPECT_EQ(0u, WB.dirtyOps());
+  EXPECT_EQ(FsError::Ok, runSync(S, C, makeFsync(InvalidHandle)).Err);
+}
+
+TEST(WriteBehind, NfsUseAfterCloseOnALocalHandleRepliesBadFd) {
+  Scheduler S;
+  NfsFs Fs(S, deferredNfs());
+  std::unique_ptr<ClientFs> Client = Fs.makeClient(0);
+  auto *C = static_cast<NfsClient *>(Client.get());
+  expectRetiredHandleRepliesBadFd(S, *C, *C->writeBehind());
+}
+
+TEST(WriteBehind, ShardedUseAfterCloseOnALocalHandleRepliesBadFd) {
+  Scheduler S;
+  ShardedOptions O;
+  O.Client.WriteBehind.Enabled = true;
+  ShardedFs Fs(S, O);
+  std::unique_ptr<ClientFs> Client = Fs.makeClient(0);
+  auto *C = static_cast<ShardedClient *>(Client.get());
+  expectRetiredHandleRepliesBadFd(S, *C, *C->writeBehind());
+}
+
+TEST(WriteBehind, WriteQueuedBehindItsCloseCompletesWithBadFd) {
+  // The write rides behind the close in one batch: when its turn comes
+  // the close has retired the handle, so it completes with BadFd — a
+  // byproduct error, counted but not sticky.
+  Scheduler S;
+  NfsFs Fs(S, deferredNfs());
+  std::unique_ptr<ClientFs> Client = Fs.makeClient(0);
+  auto *C = static_cast<NfsClient *>(Client.get());
+  MetaReply O = runSync(S, *C, makeOpen("/f", OpenWrite | OpenCreate));
+  ASSERT_TRUE(O.ok());
+  C->submit(makeClose(O.Fh), [](MetaReply R) { EXPECT_TRUE(R.ok()); });
+  C->submit(makeWrite(O.Fh, 64), [](MetaReply) {});
+  S.run();
+  EXPECT_EQ(1u, C->writeBehind()->flushErrors());
+  EXPECT_EQ(FsError::Ok, C->writeBehind()->pendingError());
+  EXPECT_EQ(0u, C->writeBehind()->dirtyOps());
+}
+
 //===----------------------------------------------------------------------===//
 // Closure-only fsync barrier, under permuted schedules
 //===----------------------------------------------------------------------===//
@@ -321,6 +377,173 @@ TEST(WriteBehind, FsyncDrainsExactlyTheDependencyClosure) {
   EXPECT_EQ("fsync=ok served=4 still-queued=2\n"
             "full=ok served=6 a=1 b=1 fsck=clean\n",
             Out);
+}
+
+//===----------------------------------------------------------------------===//
+// The queue's indexes, on a bare queue behind fake hooks
+//===----------------------------------------------------------------------===//
+
+/// Stands in for a client's RPC path: records every wire request in issue
+/// order and replies after a fixed delay. A creating open gets the next
+/// server handle, unless its path is in FailOpens.
+struct FakeWire {
+  explicit FakeWire(Scheduler &S) : S(S) {}
+
+  WriteBehindHooks hooks() {
+    WriteBehindHooks H;
+    H.AllocXid = [this]() { return ++LastXid; };
+    H.Issue = [this](const MetaRequest &Req,
+                     std::function<void(MetaReply)> Done) {
+      Wire.push_back(Req);
+      MetaReply Reply;
+      if (Req.Op == MetaOp::Open) {
+        if (FailOpens.count(Req.Path))
+          Reply.Err = FsError::Access;
+        else
+          Reply.Fh = ServerFhOf[Req.Path] = NextServerFh++;
+      }
+      S.after(microseconds(100), [Done = std::move(Done), Reply]() mutable {
+        Done(std::move(Reply));
+      });
+    };
+    return H;
+  }
+
+  Scheduler &S;
+  std::vector<MetaRequest> Wire;
+  std::set<std::string> FailOpens;
+  std::map<std::string, FileHandle> ServerFhOf;
+  uint64_t LastXid = 0;
+  FileHandle NextServerFh = 1;
+};
+
+/// Deferred policy that only explicit barriers and flush() move.
+WriteBehindPolicy barrierOnlyPolicy() {
+  WriteBehindPolicy P;
+  P.Enabled = true;
+  P.FlushMaxOps = 1u << 20;
+  P.FlushMaxBytes = 1ULL << 40;
+  P.FlushDelay = seconds(100.0);
+  P.MaxQueuedOps = 1u << 20;
+  return P;
+}
+
+/// Two create -> write chains and four mkdirs share the queue. fsync on
+/// chain A claims and drains it; fsync on chain B claims it but leaves its
+/// write waiting for the open; flush() must then issue exactly the four
+/// mkdirs, in ascending Xid order. Returns the wire sequence and counters.
+std::string targetedFsyncThenFlush(Scheduler &S) {
+  FakeWire W(S);
+  WriteBehindQueue Q(S, barrierOnlyPolicy(), W.hooks());
+  auto Ignore = [](MetaReply) {};
+  FileHandle FhA = InvalidHandle, FhB = InvalidHandle;
+  Q.enqueue(makeMkdir("/x0"), Ignore);
+  Q.enqueue(makeOpen("/a", OpenWrite | OpenCreate),
+            [&](MetaReply R) { FhA = R.Fh; });
+  Q.enqueue(makeOpen("/b", OpenWrite | OpenCreate),
+            [&](MetaReply R) { FhB = R.Fh; });
+  Q.enqueue(makeMkdir("/x1"), Ignore);
+  S.runUntil(milliseconds(1));
+  Q.enqueue(makeWrite(FhA, 10), Ignore);
+  Q.enqueue(makeMkdir("/x2"), Ignore);
+  Q.enqueue(makeClose(FhA), Ignore);
+  Q.enqueue(makeWrite(FhB, 20), Ignore);
+  Q.enqueue(makeMkdir("/x3"), Ignore);
+
+  std::string Out;
+  auto Barrier = [&](MetaReply R) {
+    Out += std::string("fsync=") + (R.ok() ? "ok" : "err") + "\n";
+  };
+  Q.fsync(makeFsync(FhA), Barrier);
+  S.runUntil(milliseconds(2)); // chain A completes and leaves the queue
+  Q.fsync(makeFsync(FhB), Barrier);
+  Q.flush();
+  S.run();
+  for (const MetaRequest &R : W.Wire)
+    Out += "xid=" + std::to_string(R.Xid) + " " + metaOpName(R.Op) + " " +
+           (R.Fh == InvalidHandle ? R.Path : "fh=" + std::to_string(R.Fh)) +
+           "\n";
+  Out += "enqueued=" + std::to_string(Q.enqueuedOps()) +
+         " issued=" + std::to_string(Q.issuedOps()) +
+         " flushes=" + std::to_string(Q.flushes()) +
+         " dirty=" + std::to_string(Q.dirtyOps()) + "\n";
+  return Out;
+}
+
+TEST(WriteBehindIndex, FlushAfterATargetedFsyncIssuesTheRestOnce) {
+  Scheduler S;
+  // Chain A (xids 2, 5, 7) went out under the first barrier, chain B's
+  // open (3) under the second; flush() issued only the mkdirs, ascending;
+  // chain B's write (8) followed its open's reply. Nine ops, nine issues.
+  EXPECT_EQ("fsync=ok\n"
+            "fsync=ok\n"
+            "xid=2 open /a\n"
+            "xid=5 write fh=1\n"
+            "xid=7 close fh=1\n"
+            "xid=3 open /b\n"
+            "xid=1 mkdir /x0\n"
+            "xid=4 mkdir /x1\n"
+            "xid=6 mkdir /x2\n"
+            "xid=9 mkdir /x3\n"
+            "xid=8 write fh=2\n"
+            "enqueued=9 issued=9 flushes=1 dirty=0\n",
+            targetedFsyncThenFlush(S));
+}
+
+TEST(WriteBehindIndex, IssueSequenceIsScheduleInvariant) {
+  ScheduleScenario Sc;
+  Sc.Name = "writebehind-targeted-fsync-then-flush";
+  Sc.Run = targetedFsyncThenFlush;
+  ScheduleVerifyResult R = verifySchedules(Sc);
+  EXPECT_TRUE(R.passed()) << R.Report;
+  EXPECT_EQ(8u, R.SchedulesRun);
+}
+
+TEST(WriteBehindIndex, FailedOpenRetiresOnlyItsOwnHandle) {
+  constexpr int Files = 1024;
+  constexpr int Failing = 517;
+  Scheduler S;
+  FakeWire W(S);
+  W.FailOpens.insert("/f" + std::to_string(Failing));
+  WriteBehindQueue Q(S, barrierOnlyPolicy(), W.hooks());
+
+  std::vector<FileHandle> Fhs(Files, InvalidHandle);
+  for (int I = 0; I < Files; ++I)
+    Q.enqueue(makeOpen("/f" + std::to_string(I), OpenWrite | OpenCreate),
+              [&Fhs, I](MetaReply R) { Fhs[I] = R.Fh; });
+  S.runUntil(milliseconds(1));
+  // One write per handle, all live at once; remember whose each Xid is.
+  std::map<uint64_t, int> FileOfXid;
+  for (int I = 0; I < Files; ++I) {
+    Q.enqueue(makeWrite(Fhs[I], 100), [](MetaReply R) { EXPECT_TRUE(R.ok()); });
+    FileOfXid[W.LastXid] = I;
+  }
+  EXPECT_EQ(2u * Files, Q.dirtyOps());
+  Q.flush();
+  S.run();
+
+  // The failing handle's write completed locally with BadFd; every other
+  // write went out under its own file's server handle.
+  size_t Writes = 0;
+  for (const MetaRequest &R : W.Wire) {
+    if (R.Op != MetaOp::Write)
+      continue;
+    ++Writes;
+    int I = FileOfXid.at(R.Xid);
+    EXPECT_NE(Failing, I);
+    EXPECT_EQ(W.ServerFhOf.at("/f" + std::to_string(I)), R.Fh) << "/f" << I;
+  }
+  EXPECT_EQ(size_t(Files - 1), Writes);
+  EXPECT_EQ(2u * Files, Q.issuedOps());
+  EXPECT_EQ(2u, Q.flushErrors()); // the open, then its write's BadFd
+  EXPECT_EQ(FsError::Access, Q.pendingError());
+  EXPECT_EQ(0u, Q.dirtyOps());
+  for (int I = 0; I < Files; ++I) {
+    FileHandle Expected = I == Failing
+                              ? InvalidHandle
+                              : W.ServerFhOf.at("/f" + std::to_string(I));
+    EXPECT_EQ(Expected, Q.translate(makeRead(Fhs[I], 1)).Fh) << "/f" << I;
+  }
 }
 
 //===----------------------------------------------------------------------===//
