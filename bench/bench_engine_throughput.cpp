@@ -73,9 +73,8 @@ struct RawResult {
   double EventsPerSec = 0;
 };
 
-RawResult rawSchedulerThroughput(uint64_t TargetEvents, unsigned Chains,
-                                 const SchedulerConfig &Config = {}) {
-  Scheduler S(Config);
+RawResult rawSchedulerThroughput(uint64_t TargetEvents, unsigned Chains) {
+  Scheduler S;
   uint64_t PerChain = TargetEvents / Chains;
   for (unsigned I = 0; I < Chains; ++I) {
     Chain C;
@@ -177,16 +176,14 @@ struct CurvePoint {
 };
 
 /// One scale-out point: a full Master combination with Clients simulated
-/// worker processes (8 per node) against a single NFS server, on the
-/// calendar event queue. The per-worker problem is kept tiny — the point
-/// measures the engine's cost per client (events retired per wall second
-/// and bytes of state), not file system throughput.
+/// worker processes (8 per node) against a single NFS server. The
+/// per-worker problem is kept tiny — the point measures the engine's cost
+/// per client (events retired per wall second and bytes of state), not
+/// file system throughput.
 CurvePoint runCurvePoint(unsigned Clients) {
   unsigned Ppn = 8;
   unsigned Nodes = std::max(1u, Clients / Ppn);
-  SchedulerConfig Config;
-  Config.Queue = EventQueueKind::Calendar;
-  Scheduler S(Config);
+  Scheduler S;
   Cluster C(S, Nodes, Ppn);
   NfsFs Fs(S);
   C.mountEverywhere(Fs);
@@ -219,7 +216,7 @@ CurvePoint runCurvePoint(unsigned Clients) {
 
 int main(int Argc, char **Argv) {
   uint64_t RawEvents = 4000000;
-  unsigned Chains = 16;
+  uint64_t Chains = 16;
   // Defaults put each scenario at 1e6+ simulated metadata ops: MakeFiles
   // runs the full time limit at the servers' saturation rate; StatFiles
   // adds ProblemSize fixed-size stats per worker process.
@@ -229,52 +226,50 @@ int main(int Argc, char **Argv) {
   std::string Out = "BENCH_engine.json";
   std::string Label = "current";
 
-  for (int I = 1; I < Argc; ++I) {
-    const char *Arg = Argv[I];
-    auto Val = [&]() -> const char * {
-      return I + 1 < Argc ? Argv[++I] : "";
-    };
-    if (!std::strcmp(Arg, "--events"))
-      RawEvents = std::strtoull(Val(), nullptr, 10);
-    else if (!std::strcmp(Arg, "--chains"))
-      Chains = std::strtoul(Val(), nullptr, 10);
-    else if (!std::strcmp(Arg, "--problemsize"))
-      ProblemSize = std::strtoull(Val(), nullptr, 10);
-    else if (!std::strcmp(Arg, "--timelimit"))
-      TimeLimitSec = std::strtod(Val(), nullptr);
-    else if (!std::strcmp(Arg, "--curve-max"))
-      CurveMax = std::strtoull(Val(), nullptr, 10);
-    else if (!std::strcmp(Arg, "--out"))
-      Out = Val();
-    else if (!std::strcmp(Arg, "--label"))
-      Label = Val();
-    else {
-      std::fprintf(stderr,
-                   "usage: bench_engine_throughput [--events N] [--chains N]"
-                   " [--problemsize N] [--timelimit SEC] [--curve-max N]"
-                   " [--out FILE] [--label NAME]\n");
-      return 2;
-    }
+  // Every option takes exactly one value, so a flag without one leaves
+  // an even argument count.
+  bool Ok = Argc % 2 == 1;
+  for (int I = 1; Ok && I + 1 < Argc; I += 2) {
+    std::string Arg = Argv[I], V = Argv[I + 1];
+    char *End = nullptr;
+    if (Arg == "--events")
+      Ok = parseUnsigned(V, RawEvents);
+    else if (Arg == "--chains")
+      Ok = parseUnsigned(V, Chains);
+    else if (Arg == "--problemsize")
+      Ok = parseUnsigned(V, ProblemSize);
+    else if (Arg == "--timelimit") {
+      TimeLimitSec = std::strtod(V.c_str(), &End);
+      Ok = !V.empty() && *End == '\0';
+    } else if (Arg == "--curve-max")
+      Ok = parseUnsigned(V, CurveMax);
+    else if (Arg == "--out")
+      Out = V;
+    else if (Arg == "--label")
+      Label = V;
+    else
+      Ok = false;
   }
-  if (Chains == 0)
-    Chains = 1;
+  // Every chain fires at least one event: with fewer events than chains,
+  // some chain would start its countdown at zero and never stop.
+  if (!Ok || Chains == 0 || Chains > UINT32_MAX || RawEvents < Chains) {
+    std::fprintf(stderr,
+                 "usage: bench_engine_throughput [--events N] [--chains N]"
+                 " [--problemsize N] [--timelimit SEC] [--curve-max N]"
+                 " [--out FILE] [--label NAME]\n"
+                 "  N is a whole number; 1 <= --chains <= --events\n");
+    return 2;
+  }
 
   banner("E28-engine-throughput", "ROADMAP north star",
          "Raw scheduler events/sec and end-to-end simulated metadata "
          "ops per wall-clock second (nfs + lustre tier-1 scenarios)");
 
-  RawResult Raw = rawSchedulerThroughput(RawEvents, Chains);
+  RawResult Raw =
+      rawSchedulerThroughput(RawEvents, static_cast<unsigned>(Chains));
   std::printf("raw scheduler: %llu events in %.3f s -> %.0f events/s\n",
               (unsigned long long)Raw.Events, Raw.WallSec,
               Raw.EventsPerSec);
-
-  SchedulerConfig CalConfig;
-  CalConfig.Queue = EventQueueKind::Calendar;
-  RawResult RawCal = rawSchedulerThroughput(RawEvents, Chains, CalConfig);
-  std::printf("raw scheduler (calendar queue): %llu events in %.3f s -> "
-              "%.0f events/s\n",
-              (unsigned long long)RawCal.Events, RawCal.WallSec,
-              RawCal.EventsPerSec);
 
   ScenarioResult Nfs = runScenario("nfs", {"MakeFiles", "StatFiles"},
                                    ProblemSize, TimeLimitSec, 2, 4);
@@ -291,9 +286,9 @@ int main(int Argc, char **Argv) {
               Lustre.OpsPerWallSec, Lustre.SimOpsPerSec);
 
   // Clients-vs-throughput scale curve (ROADMAP item 2): geometric client
-  // counts up to --curve-max, each a full Master combination on the
-  // calendar queue. Ascending order makes the VmHWM delta across the
-  // largest point its incremental footprint -> bytes per client.
+  // counts up to --curve-max, each a full Master combination. Ascending
+  // order makes the VmHWM delta across the largest point its incremental
+  // footprint -> bytes per client.
   std::vector<CurvePoint> Curve;
   long BytesPerClient = 0;
   for (uint64_t Clients : {1024ull, 4096ull, 16384ull, 65536ull, 262144ull,
@@ -338,17 +333,14 @@ int main(int Argc, char **Argv) {
       "             \"problemsize\": %llu, \"timelimit_s\": %.1f},\n"
       "  \"raw_scheduler\": {\"events\": %llu, \"wall_s\": %.3f, "
       "\"events_per_sec\": %.0f},\n"
-      "  \"raw_scheduler_calendar\": {\"events\": %llu, \"wall_s\": %.3f, "
-      "\"events_per_sec\": %.0f},\n"
       "  \"nfs_makefiles_statfiles\": %s,\n"
       "  \"lustre_makefiles\": %s,\n"
       "  \"scale_curve\": %s,\n"
       "  \"bytes_per_client\": %ld\n"
       "}\n",
-      Label.c_str(), (unsigned long long)RawEvents, Chains,
+      Label.c_str(), (unsigned long long)RawEvents, (unsigned)Chains,
       (unsigned long long)ProblemSize, TimeLimitSec,
       (unsigned long long)Raw.Events, Raw.WallSec, Raw.EventsPerSec,
-      (unsigned long long)RawCal.Events, RawCal.WallSec, RawCal.EventsPerSec,
       jsonScenario(Nfs).c_str(), jsonScenario(Lustre).c_str(),
       CurveJson.c_str(), BytesPerClient);
 

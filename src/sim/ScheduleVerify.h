@@ -23,7 +23,6 @@
 #ifndef DMETABENCH_SIM_SCHEDULEVERIFY_H
 #define DMETABENCH_SIM_SCHEDULEVERIFY_H
 
-#include "sim/EventQueue.h"
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -45,10 +44,6 @@ struct ScheduleScenario {
 struct ScheduleVerifyOptions {
   unsigned Schedules = 8; ///< number of permuted schedules to run
   uint64_t BaseSeed = 1;  ///< seeds used: BaseSeed, BaseSeed+1, ...
-  /// Scheduler construction (event queue kind, wheel levels). Every run
-  /// uses the same configuration, so verification exercises the chosen
-  /// queue implementation under all permuted schedules.
-  SchedulerConfig Config;
 };
 
 struct ScheduleVerifyResult {
@@ -62,7 +57,8 @@ struct ScheduleVerifyResult {
 
 /// Runs \p Scenario once unperturbed, once with the identity permutation,
 /// and then under \p Opt.Schedules seeded permutations, comparing outputs
-/// byte-for-byte. Stops at the first divergence.
+/// byte-for-byte. Stops at the first divergence. Fails without running
+/// anything when \p Opt.Schedules is 0.
 ScheduleVerifyResult verifySchedules(const ScheduleScenario &Scenario,
                                      const ScheduleVerifyOptions &Opt = {});
 

@@ -27,7 +27,7 @@ static bool schedulerAssertContext(AssertSimContext &Ctx) {
   return true;
 }
 
-Scheduler::Scheduler(SchedulerConfig Config) : Queue(Config) {
+Scheduler::Scheduler() {
   ActiveScheduler = this;
   setAssertSimContextProvider(&schedulerAssertContext);
 }
@@ -49,13 +49,13 @@ const EventQueueEntry *Scheduler::peekLive() {
   // definition — skip the payload-generation load, which would otherwise
   // put a data-dependent pool access on the dispatch critical path.
   if (Tombstones == 0)
-    return Queue.front();
+    return Queue.empty() ? nullptr : &Queue.front();
   for (;;) {
-    const EventQueueEntry *F = Queue.front();
-    if (!F)
+    if (Queue.empty())
       return nullptr;
-    if (Pool[F->Slot].Gen == F->Gen)
-      return F;
+    const EventQueueEntry &F = Queue.front();
+    if (Pool[F.Slot].Gen == F.Gen)
+      return &F;
     // Tombstone of a cancelled event: its payload was freed at cancel
     // time; only the 32-byte queue entry lingered until now.
     Queue.pop();

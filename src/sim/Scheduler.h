@@ -9,10 +9,8 @@
 /// equal timestamps fire in insertion order, which makes whole benchmark
 /// runs deterministic (DESIGN.md, key decision 4).
 ///
-/// The pending queue lives behind sim/EventQueue.h: a 4-ary heap by
-/// default, or a calendar queue (hierarchical timer wheel) selected via
-/// SchedulerConfig for huge pending sets. Both pop bit-identical event
-/// orders, so the choice never changes results — only events/sec.
+/// The pending queue is the 4-ary min-heap of sim/EventQueue.h, keyed by
+/// (time, tie key): one strict total order, so the pop sequence is fixed.
 ///
 /// The scheduler is also the anchor of the runtime invariant checks: it
 /// feeds the simulated clock and event ordinal into DMB_ASSERT failure
@@ -76,19 +74,13 @@ public:
   /// Inspects one primitive's state at quiescence and reports leaks.
   using QuiescenceCheck = std::function<void(SimDiagnostics &)>;
 
-  /// The default config is the 4-ary heap — `Scheduler S;` behaves
-  /// exactly as it always has. Pass EventQueueKind::Calendar for runs
-  /// whose pending set is large enough that O(log n) sifts dominate.
-  explicit Scheduler(SchedulerConfig Config = SchedulerConfig());
+  Scheduler();
   ~Scheduler();
   Scheduler(const Scheduler &) = delete;
   Scheduler &operator=(const Scheduler &) = delete;
 
   /// Current simulated time.
   SimTime now() const { return Now; }
-
-  /// Which pending-queue implementation this scheduler runs on.
-  EventQueueKind queueKind() const { return Queue.kind(); }
 
   /// Schedules \p Fn to run at absolute time \p When. Scheduling into the
   /// past would silently reorder history, so When < now() is a fatal

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Format.h"
+#include <charconv>
 #include <cstdio>
 
 using namespace dmb;
@@ -57,4 +58,14 @@ std::vector<std::string> dmb::split(const std::string &Text, char Sep) {
 bool dmb::startsWith(const std::string &Text, const std::string &Prefix) {
   return Text.size() >= Prefix.size() &&
          Text.compare(0, Prefix.size(), Prefix) == 0;
+}
+
+bool dmb::parseUnsigned(const std::string &Text, uint64_t &Out) {
+  uint64_t V = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, V);
+  if (Ec != std::errc() || Ptr != End)
+    return false;
+  Out = V;
+  return true;
 }

@@ -15,6 +15,7 @@
 #define DMETABENCH_SUPPORT_FORMAT_H
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,11 @@ std::vector<std::string> split(const std::string &Text, char Sep);
 
 /// Returns true when \p Text starts with \p Prefix.
 bool startsWith(const std::string &Text, const std::string &Prefix);
+
+/// Parses \p Text as a base-10 unsigned integer into \p Out. Returns false,
+/// leaving \p Out untouched, unless the whole string is digits and the
+/// value fits in 64 bits (no sign, no whitespace, no trailing garbage).
+bool parseUnsigned(const std::string &Text, uint64_t &Out);
 
 } // namespace dmb
 

@@ -178,6 +178,28 @@ TEST(VerifySchedules, RefusesToVerifyEmptyOutput) {
   EXPECT_NE(std::string::npos, R.Report.find("produced no output"));
 }
 
+TEST(VerifySchedules, RefusesToVerifyZeroSchedules) {
+  // Zero permuted schedules compare nothing, so "invariant under 0
+  // permuted schedules" would be a vacuous pass. The harness must refuse
+  // and say why, without running the scenario at all.
+  unsigned Runs = 0;
+  ScheduleScenario Sc;
+  Sc.Name = "zero-schedules";
+  Sc.Run = [&Runs](Scheduler &S) {
+    ++Runs;
+    S.run();
+    return std::string("output");
+  };
+  ScheduleVerifyOptions Opt;
+  Opt.Schedules = 0;
+  ScheduleVerifyResult R = verifySchedules(Sc, Opt);
+  EXPECT_FALSE(R.passed());
+  EXPECT_EQ(0u, R.SchedulesRun);
+  EXPECT_EQ(0u, Runs);
+  EXPECT_NE(std::string::npos, R.Report.find("0 permuted schedules"));
+  EXPECT_NE(std::string::npos, R.Report.find("refusing"));
+}
+
 // --- Lock-order analyzer -------------------------------------------------
 
 TEST(LockOrder, OppositeOrderAcquisitionIsACycleWithoutADeadlock) {

@@ -100,6 +100,19 @@ TEST(Format, StartsWith) {
   EXPECT_FALSE(startsWith("/mnt", "/mnt/nfs"));
 }
 
+TEST(Format, ParseUnsignedAcceptsOnlyWholeNumbers) {
+  uint64_t V = 7;
+  EXPECT_TRUE(parseUnsigned("0", V));
+  EXPECT_EQ(0u, V);
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", V));
+  EXPECT_EQ(UINT64_MAX, V);
+  V = 7;
+  for (const char *Bad : {"", "x", "8x", " 8", "-1", "+1", "1.5",
+                          "18446744073709551616"})
+    EXPECT_FALSE(parseUnsigned(Bad, V)) << '"' << Bad << '"';
+  EXPECT_EQ(7u, V); // failures leave the output untouched
+}
+
 TEST(Random, Deterministic) {
   Rng A(123), B(123);
   for (int I = 0; I < 100; ++I)

@@ -2,8 +2,13 @@
 """Guard the clients-vs-throughput scale curve against regressions.
 
 Compares a freshly measured BENCH_engine.json against the committed one
-and fails (exit 1) when any shared curve point regressed by more than the
-threshold (default 10%).
+and fails (exit 1) when any shared curve point executed different work or
+regressed by more than the threshold (default 10%).
+
+Work is checked exactly: the simulation is deterministic, so the
+`events` and `sim_ops` of every curve point shared with the baseline must
+match to the unit on any host. A mismatch means the schedule itself
+changed, not the machine.
 
 Raw wall-clock numbers are machine-dependent, so the comparison is
 host-normalized: each curve point's events/sec is divided by the same
@@ -39,6 +44,20 @@ def normalized_curve(doc):
     return out
 
 
+def exact_count_mismatches(base_doc, got_doc):
+    """List (clients, field, baseline, measured) for every deterministic
+    count that differs at a curve point present in both runs."""
+    base = {int(pt["clients"]): pt for pt in base_doc.get("scale_curve", [])}
+    got = {int(pt["clients"]): pt for pt in got_doc.get("scale_curve", [])}
+    out = []
+    for clients in sorted(set(base) & set(got)):
+        for field in ("events", "sim_ops"):
+            want, have = base[clients].get(field), got[clients].get(field)
+            if want is None or want != have:
+                out.append((clients, field, want, have))
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--baseline", required=True,
@@ -49,8 +68,9 @@ def main():
                     help="max allowed fractional regression per point")
     args = ap.parse_args()
 
-    base = normalized_curve(load(args.baseline))
-    got = normalized_curve(load(args.measured))
+    base_doc, got_doc = load(args.baseline), load(args.measured)
+    base = normalized_curve(base_doc)
+    got = normalized_curve(got_doc)
     if not base:
         print("check_scale_regression: baseline has no scale curve; "
               "nothing to guard")
@@ -63,6 +83,11 @@ def main():
         return 1
 
     failed = False
+    for clients, field, want, have in exact_count_mismatches(base_doc,
+                                                             got_doc):
+        print(f"  {clients:>8} clients: {field} {have} vs baseline {want} "
+              f"MISMATCH")
+        failed = True
     for clients in shared:
         ratio = got[clients] / base[clients]
         status = "ok"
@@ -73,11 +98,12 @@ def main():
               f"baseline {base[clients]:.4f} ({ratio:.2%}) {status}")
 
     if failed:
-        print(f"check_scale_regression: scale curve regressed more than "
-              f"{args.threshold:.0%} at one or more points", file=sys.stderr)
+        print(f"check_scale_regression: scale curve changed its exact work "
+              f"counts or regressed more than {args.threshold:.0%} at one "
+              f"or more points", file=sys.stderr)
         return 1
-    print(f"check_scale_regression: {len(shared)} shared points within "
-          f"{args.threshold:.0%} of baseline")
+    print(f"check_scale_regression: {len(shared)} shared points with exact "
+          f"events and sim_ops, within {args.threshold:.0%} of baseline")
     return 0
 
 

@@ -132,7 +132,7 @@ bool inTraceClockScope(const std::string &RelPath) {
 
 /// Directories where pending-event ordering must go through the
 /// sim/EventQueue interface. A hand-rolled priority queue next to the
-/// scheduler silently diverges from the calendar queue's tie discipline;
+/// scheduler silently diverges from its (When, TieKey) order discipline;
 /// only the EventQueue implementation file may use heap primitives.
 /// tests/ are exempt (lint fixtures quote the patterns on purpose).
 bool inEventQueueScope(const std::string &RelPath) {
@@ -365,9 +365,8 @@ void dmb::lint::lintContent(const std::string &RelPath,
       Out.push_back({RelPath, LineNo, "event-queue",
                      std::string("heap scheduling primitive '") + Hit +
                          "' outside sim/EventQueue; route pending-event "
-                         "ordering through the EventQueue interface so the "
-                         "heap and calendar implementations stay "
-                         "interchangeable"});
+                         "ordering through the EventQueue interface so every "
+                         "event shares one (time, tie-key) order"});
 
     if (TraceScope && !allowed(Raw, "trace-clock") &&
         matchesAny(L, TraceSinkPatterns, std::size(TraceSinkPatterns), Hit))

@@ -10,9 +10,7 @@
 #      interprocedural fixpoint regression fails the gate instead of
 #      silently slowing every presubmit,
 #   3. the full ctest suite,
-#   4. a verify-schedules smoke pass (3 permuted schedules per scenario)
-#      and a verify-queues pass proving the heap and calendar event
-#      queues execute bit-identical schedules on six tier-1 models,
+#   4. a verify-schedules smoke pass (3 permuted schedules per scenario),
 #   5. an engine-throughput bench smoke at reduced sizes (writes
 #      build/BENCH_engine.json; scale curve capped at 4096 clients),
 #   6. the fault-injection smoke: bench_fault_degradation (E29) exits
@@ -48,7 +46,7 @@ while [ $# -gt 0 ]; do
     -j) JOBS="$2"; shift ;;
     -j*) JOBS="${1#-j}" ;;
     -h|--help)
-      sed -n '2,30p' "$0"; exit 0 ;;
+      sed -n '2,32p' "$0"; exit 0 ;;
     *) echo "run_checks.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
   shift
@@ -81,12 +79,6 @@ ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS"
 
 step "verify-schedules smoke (3 permuted schedules)"
 "$ROOT/build/tools/dmetabench" verify-schedules --schedules 3
-
-step "verify-queues (heap vs calendar event queue, six tier-1 models)"
-# Both queue implementations must execute bit-identical schedules: the
-# verb compares canonical outputs AND executed-event journals, including
-# a shallow-wheel variant that forces the overflow path.
-"$ROOT/build/tools/dmetabench" verify-queues
 
 step "engine throughput smoke (reduced sizes)"
 # Reduced sizes: this only proves the bench runs and writes its JSON; the
