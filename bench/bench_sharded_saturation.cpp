@@ -229,9 +229,9 @@ public:
 
   void submit(const MetaRequest &Req, Callback Done) override {
     Inner->submit(Req, [this, Op = Req.Op, Flags = Req.Flags,
-                        Done = std::move(Done)](MetaReply Reply) {
+                        Done = std::move(Done)](MetaReply &&Reply) {
       note(Op, Flags, Reply);
-      Done(Reply);
+      Done(std::move(Reply));
     });
   }
   void dropCaches() override { Inner->dropCaches(); }

@@ -68,7 +68,7 @@ void WorkerProcess::step() {
         uint64_t Trace =
             Record ? Sched.traceBegin(metaOpName(Req.Op)) : 0;
         Config.Client->submit(Req, [this, Trace, Completes,
-                                    OpCount](MetaReply Reply) {
+                                    OpCount](MetaReply &&Reply) {
           // Bookkeeping runs before traceFinish deactivates the trace so
           // the happens-before hooks see the operation as their context;
           // nothing here stamps or schedules, so timing is unaffected.

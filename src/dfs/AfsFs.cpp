@@ -119,41 +119,38 @@ SimDuration AfsClient::vldbCost(const std::string &Volume) {
 }
 
 void AfsClient::rpc(unsigned ServerIndex, const std::string &Volume,
-                    MetaRequest Req, const std::string &FullPath,
+                    const MetaRequest &Req, const std::string &FullPath,
                     Callback Done) {
   // A first access to a volume pays the VLDB lookup on top of the request
   // hop — modelled as SendExtra so retransmits do not pay it again.
   SimDuration Vldb = vldbCost(Volume);
-  withSlot([this, ServerIndex, Volume, Req = std::move(Req), FullPath, Vldb,
-            Done = std::move(Done)]() mutable {
-    transact(
-        Req, Vldb,
-        [this, ServerIndex, Volume](
-            const MetaRequest &R, std::function<void(MetaReply)> Reply) {
-          Cell.server(ServerIndex).process(Volume, R, std::move(Reply));
-        },
-        [this, ServerIndex, Volume, Req, FullPath,
-         Done = std::move(Done)](MetaReply Reply) mutable {
-          if (Reply.ok()) {
-            if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat)
-              Cache.insert(FullPath, Reply.A, sched().now());
-            if (isMutation(Req.Op) ||
-                (Req.Op == MetaOp::Open && (Req.Flags & OpenCreate))) {
-              Cache.invalidate(FullPath);
-              Cell.breakCallbacks(this, FullPath);
-            }
-            if (Req.Op == MetaOp::Open) {
-              // Wrap the server handle in a client-local handle so handles
-              // from different volumes cannot collide.
-              FileHandle Local = NextLocalFh++;
-              Handles[Local] = HandleInfo{ServerIndex, Volume, Reply.Fh};
-              Reply.Fh = Local;
-            }
-          }
-          slotDone();
-          Done(Reply);
-        });
-  });
+  RpcClientBase::rpc(
+      Req, Vldb,
+      [this, ServerIndex, Volume](CallRef C) {
+        FileServer &S = Cell.server(ServerIndex);
+        serveAt(S, S.volumeId(Volume), std::move(C));
+      },
+      [this, ServerIndex, Volume, FullPath](Call &C) {
+        const MetaRequest &R = C.Req;
+        MetaReply &Reply = C.Reply;
+        if (!Reply.ok())
+          return;
+        if (R.Op == MetaOp::Stat || R.Op == MetaOp::Lstat)
+          Cache.insert(FullPath, Reply.A, sched().now());
+        if (isMutation(R.Op) ||
+            (R.Op == MetaOp::Open && (R.Flags & OpenCreate))) {
+          Cache.invalidate(FullPath);
+          Cell.breakCallbacks(this, FullPath);
+        }
+        if (R.Op == MetaOp::Open) {
+          // Wrap the server handle in a client-local handle so handles
+          // from different volumes cannot collide.
+          FileHandle Local = NextLocalFh++;
+          Handles[Local] = HandleInfo{ServerIndex, Volume, Reply.Fh};
+          Reply.Fh = Local;
+        }
+      },
+      std::move(Done));
 }
 
 void AfsClient::submit(const MetaRequest &Req, Callback Done) {
@@ -161,11 +158,7 @@ void AfsClient::submit(const MetaRequest &Req, Callback Done) {
   if (Req.Fh != InvalidHandle && Req.Op != MetaOp::Open) {
     auto It = Handles.find(Req.Fh);
     if (It == Handles.end()) {
-      sched().after(0, [Done = std::move(Done)]() {
-        MetaReply Reply;
-        Reply.Err = FsError::BadFd;
-        Done(Reply);
-      });
+      failLocally(FsError::BadFd, std::move(Done));
       return;
     }
     HandleInfo Info = It->second;
@@ -173,19 +166,14 @@ void AfsClient::submit(const MetaRequest &Req, Callback Done) {
       Handles.erase(It);
     MetaRequest Fwd = Req;
     Fwd.Fh = Info.ServerFh;
-    rpc(Info.ServerIndex, Info.Volume, std::move(Fwd), Req.Path,
-        std::move(Done));
+    rpc(Info.ServerIndex, Info.Volume, Fwd, Req.Path, std::move(Done));
     return;
   }
 
   std::string Rel;
   const MountEntry *Mount = Cell.vldb().resolve(Req.Path, Rel);
   if (!Mount) {
-    sched().after(0, [Done = std::move(Done)]() {
-      MetaReply Reply;
-      Reply.Err = FsError::NoEnt;
-      Done(Reply);
-    });
+    failLocally(FsError::NoEnt, std::move(Done));
     return;
   }
 
@@ -197,11 +185,7 @@ void AfsClient::submit(const MetaRequest &Req, Callback Done) {
     // Moving between separately managed volumes is impossible (\S 2.6.3:
     // "atomic rename" — NFS3ERR_XDEV analogue).
     if (!Mount2 || Mount2->Prefix != Mount->Prefix) {
-      sched().after(0, [Done = std::move(Done)]() {
-        MetaReply Reply;
-        Reply.Err = FsError::XDev;
-        Done(Reply);
-      });
+      failLocally(FsError::XDev, std::move(Done));
       return;
     }
     Fwd.Path2 = Rel2;
@@ -210,15 +194,14 @@ void AfsClient::submit(const MetaRequest &Req, Callback Done) {
   if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
     if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
       sched().after(Cell.options().CacheHitCost,
-                    [Done = std::move(Done), A = *A]() {
+                    [Done = std::move(Done), A = *A]() mutable {
                       MetaReply Reply;
                       Reply.A = A;
-                      Done(Reply);
+                      Done(std::move(Reply));
                     });
       return;
     }
   }
 
-  rpc(Mount->ServerIndex, Mount->Volume, std::move(Fwd), Req.Path,
-      std::move(Done));
+  rpc(Mount->ServerIndex, Mount->Volume, Fwd, Req.Path, std::move(Done));
 }

@@ -128,7 +128,8 @@ private:
     FileHandle ServerFh;
   };
 
-  void rpc(unsigned ServerIndex, const std::string &Volume, MetaRequest Req,
+  void rpc(unsigned ServerIndex, const std::string &Volume,
+           const MetaRequest &Req,
            const std::string &FullPath, Callback Done);
   SimDuration vldbCost(const std::string &Volume);
 

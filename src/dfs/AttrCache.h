@@ -17,6 +17,7 @@
 
 #include "dfs/Message.h"
 #include "fs/Types.h"
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -44,10 +45,10 @@ public:
   void insert(const std::string &Path, const Attr &A, SimTime Now);
 
   /// Returns fresh attributes or nullopt on miss/expiry.
-  std::optional<Attr> lookup(const std::string &Path, SimTime Now);
+  std::optional<Attr> lookup(std::string_view Path, SimTime Now);
 
   /// Drops one entry (mutation invalidation / callback break).
-  void invalidate(const std::string &Path);
+  void invalidate(std::string_view Path);
 
   /// Drops every entry a queued-but-unflushed (or just-applied) mutation
   /// makes stale: the primary path, the secondary path (rename target,
@@ -73,8 +74,17 @@ private:
     SimTime InsertedAt = 0;
   };
 
+  /// Transparent hash: lookups and invalidations take views (a parent
+  /// directory is a prefix of the request path) without building a key.
+  struct PathHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view Path) const {
+      return std::hash<std::string_view>()(Path);
+    }
+  };
+
   SimDuration Ttl;
-  std::unordered_map<std::string, Entry> Entries;
+  std::unordered_map<std::string, Entry, PathHash, std::equal_to<>> Entries;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };

@@ -18,7 +18,6 @@
 
 #include "dfs/FsAdmin.h"
 #include "dfs/Message.h"
-#include <functional>
 #include <string>
 
 namespace dmb {
@@ -29,12 +28,12 @@ namespace dmb {
 /// shared FsAdmin surface; clients override the ones they support.
 class ClientFs : public FsAdmin {
 public:
-  using Callback = std::function<void(MetaReply)>;
+  using Callback = ReplyCallback;
 
   ~ClientFs() override;
 
   /// Submits one operation. The callback fires at the simulated completion
-  /// time of the operation.
+  /// time of the operation, exactly once, with the reply moved into it.
   virtual void submit(const MetaRequest &Req, Callback Done) = 0;
 
   /// Short description for result protocols ("nfs3 filer=fas3050").

@@ -54,17 +54,15 @@ void CxfsClient::submit(const MetaRequest &Req, Callback Done) {
     NetworkLink::Delivery D = ToServer.plan(0);
     Sched.after(Options.TokenOverhead + D.Delay,
                 [this, Req, Done = std::move(Done)]() mutable {
-                  Mds.process(
-                      VolId, Req,
-                      [this, Done = std::move(Done)](MetaReply Reply) {
-                        NetworkLink::Delivery RD = FromServer.plan(0);
-                        Sched.after(RD.Delay,
-                                    [this, Done = std::move(Done),
-                                     Reply = std::move(Reply)]() {
-                                      Token.unlock();
-                                      Done(Reply);
-                                    });
-                      });
+                  Mds.process(VolId, Req, [this, Done = std::move(Done)](
+                                              MetaReply &&Reply) mutable {
+                    NetworkLink::Delivery RD = FromServer.plan(0);
+                    Sched.after(RD.Delay, [this, Done = std::move(Done),
+                                           Reply = std::move(Reply)]() mutable {
+                      Token.unlock();
+                      Done(std::move(Reply));
+                    });
+                  });
                 });
   });
 }

@@ -257,12 +257,20 @@ void FileServer::startConsistencyPoint() {
 
 MetaReply FileServer::processEager(const std::string &Volume,
                                    const MetaRequest &Req,
-                                   std::function<void()> Committed) {
+                                   Scheduler::Action Committed) {
   return processEager(volumeId(Volume), Req, std::move(Committed));
 }
 
 MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
-                                   std::function<void()> Committed) {
+                                   Scheduler::Action Committed) {
+  Admission A;
+  MetaReply Reply = admit(VolId, Req, A);
+  charge(A, std::move(Committed));
+  return Reply;
+}
+
+MetaReply FileServer::admit(uint32_t VolId, const MetaRequest &Req,
+                            Admission &A) {
   // Request arrival at the server: from here until the CPU picks it up the
   // operation is queueing, not being serviced.
   Sched.traceStamp(TracePoint::QueueEnter);
@@ -274,7 +282,7 @@ MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
     // record that entered the queue and never came out.
     Sched.traceStamp(TracePoint::ServiceStart);
     Sched.traceStamp(TracePoint::ServiceEnd);
-    Sched.after(0, std::move(Committed));
+    A.Rejected = true;
     MetaReply Reply;
     Reply.Err = FsError::Stale;
     return Reply;
@@ -291,7 +299,7 @@ MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
       ++DrcHits;
       ++Processed;
       DMB_HB_WRITE(Sched, Processed, "FileServer.Processed");
-      Cpu.request(Config.DrcHitCost, std::move(Committed));
+      A.Service = Config.DrcHitCost;
       return It->second.Reply;
     }
   }
@@ -306,46 +314,22 @@ MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
   if (Reply.ok())
     noteMutation(Req);
 
-  SimDuration Service = Config.Costs.serviceTime(Cost);
+  A.Service = Config.Costs.serviceTime(Cost);
   bool Mutates = isMutation(Req.Op) ||
                  (Req.Op == MetaOp::Open && (Req.Flags & OpenCreate));
   if (Mutates || Req.Op == MetaOp::Fsync)
-    Service += Config.CommitLatency;
+    A.Service += Config.CommitLatency;
 
-  uint64_t JournalSeqPlus1 = 0;
   if (Reply.ok() && Mutates && (Journal || !Watchers.empty())) {
     // Journal and watcher interfaces speak names; resolving the id here
     // keeps the string off the hot path above.
     const std::string &VolName = VolumeIds.name(VolId);
     // Asynchronous metadata logging (\S 2.7.1): append now, durable when
     // the server finishes the operation.
-    if (Journal) {
+    if (Journal)
       if (std::optional<uint64_t> Seq =
-              Journal->append(VolName, Req, Sched.now())) {
-        JournalSeqPlus1 = *Seq + 1;
-        // The CPU finishing this request means the stable write is done —
-        // but the ack may only leave once the journal's per-volume commit
-        // frontier reaches this record (log-prefix rule): a 4-thread CPU
-        // finishes service out of append order, and acking a dependent op
-        // whose predecessor's record is still in flight lets a crash
-        // commit the dependent without the predecessor. Park the ack; the
-        // onCommit hook (or the crash sweep, for discarded records)
-        // releases it.
-        Committed = [this, Seq = *Seq,
-                     Inner = std::move(Committed)]() mutable {
-          if (Journal->isDiscarded(Seq)) {
-            // Crashed before the stable write finished: the record is
-            // gone, but the reply still travels (it models a message the
-            // server sent before it lost the op's durability, the E29
-            // acked-but-lost window).
-            Inner();
-            return;
-          }
-          HeldCommitAcks.emplace(Seq, std::move(Inner));
-          Journal->commit(Seq);
-        };
-      }
-    }
+              Journal->append(VolName, Req, Sched.now()))
+        A.JournalSeqPlus1 = *Seq + 1;
     // Change notification (\S 2.8.3).
     for (const auto &W : Watchers)
       W(VolName, Req);
@@ -358,13 +342,13 @@ MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
   if (Req.Xid != 0 && Req.ClientId != 0 && Config.DuplicateRequestCacheSize &&
       drcCacheable(Req.Op))
     drcInsert(drcKey(Req),
-              DrcEntry{Req.Op, Reply, Req.Path, VolId, JournalSeqPlus1});
+              DrcEntry{Req.Op, Reply, Req.Path, VolId, A.JournalSeqPlus1});
   if (JitterMean > 0) {
     // Mostly small per-request extras with an occasional heavy hit.
     double Extra = JitterRng.exponential(static_cast<double>(JitterMean));
     if (JitterRng.uniform() < 0.02)
       Extra += JitterRng.exponential(20.0 * static_cast<double>(JitterMean));
-    Service += static_cast<SimDuration>(Extra);
+    A.Service += static_cast<SimDuration>(Extra);
   }
 
   ++Processed;
@@ -374,16 +358,47 @@ MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
   // their admission slot before consuming server CPU. The state change
   // already happened in arrival order; only time is shaped.
   if (RateLimit *Limit = tenantLimit(Req.Creds.Uid)) {
-    SimTime Admit = std::max(Sched.now(), Limit->NextAdmission);
-    Limit->NextAdmission = Admit + Limit->Period;
-    Sched.at(Admit, [this, Service, Committed = std::move(Committed)]() {
+    A.AdmitAt = std::max(Sched.now(), Limit->NextAdmission);
+    Limit->NextAdmission = A.AdmitAt + Limit->Period;
+  }
+  return Reply;
+}
+
+void FileServer::charge(const Admission &A, Scheduler::Action Committed) {
+  if (A.Rejected) {
+    Sched.after(0, std::move(Committed));
+    return;
+  }
+  if (A.JournalSeqPlus1) {
+    // The CPU finishing this request means the stable write is done — but
+    // the ack may only leave once the journal's per-volume commit frontier
+    // reaches this record (log-prefix rule): a 4-thread CPU finishes
+    // service out of append order, and acking a dependent op whose
+    // predecessor's record is still in flight lets a crash commit the
+    // dependent without the predecessor. Park the ack; the onCommit hook
+    // (or the crash sweep, for discarded records) releases it.
+    Committed = [this, Seq = A.JournalSeqPlus1 - 1,
+                 Inner = std::move(Committed)]() mutable {
+      if (Journal->isDiscarded(Seq)) {
+        // Crashed before the stable write finished: the record is gone,
+        // but the reply still travels (it models a message the server
+        // sent before it lost the op's durability, the E29
+        // acked-but-lost window).
+        Inner();
+        return;
+      }
+      HeldCommitAcks.emplace(Seq, std::move(Inner));
+      Journal->commit(Seq);
+    };
+  }
+  if (A.AdmitAt >= 0) {
+    Sched.at(A.AdmitAt, [this, Service = A.Service,
+                         Committed = std::move(Committed)]() mutable {
       Cpu.request(Service, std::move(Committed));
     });
-    return Reply;
+    return;
   }
-
-  Cpu.request(Service, std::move(Committed));
-  return Reply;
+  Cpu.request(A.Service, std::move(Committed));
 }
 
 void FileServer::enableJournal() {
@@ -394,7 +409,7 @@ void FileServer::enableJournal() {
     auto It = HeldCommitAcks.find(Seq);
     if (It == HeldCommitAcks.end())
       return; // committed directly (server-internal execDirect records)
-    std::function<void()> Ack = std::move(It->second);
+    Scheduler::Action Ack = std::move(It->second);
     HeldCommitAcks.erase(It);
     Ack();
   });
@@ -420,7 +435,7 @@ uint64_t FileServer::crashAndRecover(const std::string &Volume) {
       ++It;
       continue;
     }
-    std::function<void()> Ack = std::move(It->second);
+    Scheduler::Action Ack = std::move(It->second);
     It = HeldCommitAcks.erase(It);
     Ack();
   }
@@ -548,14 +563,17 @@ void FileServer::process(const std::string &Volume, const MetaRequest &Req,
 
 void FileServer::process(uint32_t VolId, const MetaRequest &Req,
                          Callback Done) {
-  auto Holder = std::make_shared<MetaReply>();
-  *Holder = processEager(VolId, Req, [Done = std::move(Done), Holder]() {
-    Done(*Holder);
+  // The reply exists before the completion is built, so the completion
+  // carries it: one closure, no shared holder.
+  Admission A;
+  MetaReply Reply = admit(VolId, Req, A);
+  charge(A, [Done = std::move(Done), Reply = std::move(Reply)]() mutable {
+    Done(std::move(Reply));
   });
 }
 
-void FileServer::injectWork(SimDuration Service, std::function<void()> Done) {
-  Cpu.request(Service, [Done = std::move(Done)]() {
+void FileServer::injectWork(SimDuration Service, Scheduler::Action Done) {
+  Cpu.request(Service, [Done = std::move(Done)]() mutable {
     if (Done)
       Done();
   });

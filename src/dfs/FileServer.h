@@ -70,7 +70,7 @@ struct ServerConfig {
 /// Simulated file server processing MetaRequests against its volumes.
 class FileServer : public FsAdmin {
 public:
-  using Callback = std::function<void(MetaReply)>;
+  using Callback = ReplyCallback;
 
   FileServer(Scheduler &Sched, ServerConfig Config);
 
@@ -127,15 +127,15 @@ public:
   /// work. This models clients that ack metadata from their cache before
   /// the server commits (Lustre, \S 2.6.4 / \S 4.8).
   [[nodiscard]] MetaReply processEager(uint32_t VolId, const MetaRequest &Req,
-                                       std::function<void()> Committed);
+                                       Scheduler::Action Committed);
   /// String-keyed convenience overload of the above.
   [[nodiscard]] MetaReply processEager(const std::string &Volume,
                                        const MetaRequest &Req,
-                                       std::function<void()> Committed);
+                                       Scheduler::Action Committed);
 
   /// Enqueues non-benchmark work (snapshot chunks, streaming writes) that
   /// competes with request service — the disturbance injectors use this.
-  void injectWork(SimDuration Service, std::function<void()> Done = {});
+  void injectWork(SimDuration Service, Scheduler::Action Done = {});
 
   /// While enabled, every request's service time gains an exponentially
   /// distributed extra with the given mean — the per-request jitter of
@@ -233,6 +233,22 @@ public:
                                          OpCost &Cost);
 
 private:
+  /// What admit() decided about one request, for charge() to schedule.
+  struct Admission {
+    bool Rejected = false;       ///< unknown volume: no CPU, reply now
+    SimDuration Service = 0;     ///< CPU time to charge
+    uint64_t JournalSeqPlus1 = 0; ///< journal record to commit, 0 = none
+    SimTime AdmitAt = -1;        ///< rate-limited admission time, -1 = now
+  };
+  /// Arrival half of processEager(): executes \p Req (or answers it from
+  /// the duplicate-request cache) and updates every piece of server state,
+  /// scheduling nothing but what execution itself triggers.
+  [[nodiscard]] MetaReply admit(uint32_t VolId, const MetaRequest &Req,
+                                Admission &A);
+  /// Completion half: queues \p Committed behind the CPU work (and the
+  /// journal commit) that \p A describes.
+  void charge(const Admission &A, Scheduler::Action Committed);
+
   void noteMutation(const MetaRequest &Req);
   void maybeStartConsistencyPoint();
   void startConsistencyPoint();
@@ -289,7 +305,7 @@ private:
   /// Keyed by journal seq; released in commit order by the journal's
   /// onCommit hook, or swept at crashAndRecover() for discarded records.
   /// Ordered map: the crash sweep must release in deterministic order.
-  std::map<uint64_t, std::function<void()>> HeldCommitAcks;
+  std::map<uint64_t, Scheduler::Action> HeldCommitAcks;
   std::vector<std::function<void(const std::string &, const MetaRequest &)>>
       Watchers;
 

@@ -77,78 +77,73 @@ std::string GxClient::describe() const {
 }
 
 void GxClient::rpc(unsigned OwnerIndex, const std::string &Volume,
-                   MetaRequest Req, const std::string &FullPath,
+                   const MetaRequest &Req, const std::string &FullPath,
                    Callback Done) {
   bool Remote = OwnerIndex != Nblade;
-
-  withSlot([this, OwnerIndex, Volume, Req = std::move(Req), FullPath, Remote,
-            Done = std::move(Done)]() mutable {
-    transact(
-        Req, 0,
-        // Server side of the exchange: N-blade translation, then either the
-        // local D-blade or a forwarded hop over the cluster fabric.
-        [this, OwnerIndex, Volume, Remote](
-            const MetaRequest &R, std::function<void(MetaReply)> Reply) {
-          const GxOptions &O = Cluster.options();
-          FileServer &NbladeFiler = Cluster.filer(Nblade);
-          SimDuration Translate =
-              O.NbladeCost + (Remote ? O.ForwardExtraCost : 0);
-          // N-blade: TCP termination + translation to the internal protocol.
-          NbladeFiler.injectWork(Translate, [this, OwnerIndex, Volume, R,
-                                             Remote, Reply = std::move(
-                                                         Reply)]() mutable {
-            const GxOptions &O2 = Cluster.options();
-            if (!Remote) {
-              Cluster.filer(Nblade).process(Volume, R, std::move(Reply));
-              return;
-            }
-            // Forward over the cluster fabric to the owning D-blade and
-            // back (Fig. 4.3: at most two nodes touch a request).
-            sched().after(O2.ClusterHopLatency, [this, OwnerIndex, Volume, R,
-                                                 Reply = std::move(
-                                                     Reply)]() mutable {
-              Cluster.filer(OwnerIndex)
-                  .process(Volume, R,
-                           [this, Reply = std::move(Reply)](
-                               MetaReply Rep) mutable {
-                             const GxOptions &O3 = Cluster.options();
-                             sched().after(
-                                 O3.ClusterHopLatency,
-                                 [this, Reply = std::move(Reply),
-                                  Rep = std::move(Rep)]() mutable {
-                                   // Reply passes back through the N-blade.
-                                   Cluster.filer(Nblade).injectWork(
-                                       Cluster.options().ForwardExtraCost,
-                                       [Reply = std::move(Reply),
-                                        Rep = std::move(Rep)]() mutable {
-                                         Reply(Rep);
-                                       });
-                                 });
-                           });
-            });
-          });
-        },
-        // Back on the client: update caches, wrap handles, free the slot.
-        [this, OwnerIndex, Volume, Req, FullPath,
-         Done = std::move(Done)](MetaReply Reply) mutable {
-          if (Reply.ok()) {
-            if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat ||
-                Req.Op == MetaOp::Open)
-              Cache.insert(FullPath, Reply.A, sched().now());
-            if (isMutation(Req.Op))
-              Cache.invalidate(FullPath);
-            if (Req.Op == MetaOp::Open) {
-              // Wrap the server handle in a client-local handle so handles
-              // from different volumes cannot collide.
-              FileHandle Local = NextLocalFh++;
-              Handles[Local] = HandleInfo{OwnerIndex, Volume, Reply.Fh};
-              Reply.Fh = Local;
-            }
+  RpcClientBase::rpc(
+      Req, 0,
+      // Server side of the exchange: N-blade translation, then either the
+      // local D-blade or a forwarded hop over the cluster fabric.
+      [this, OwnerIndex, Volume, Remote](CallRef C) {
+        const GxOptions &O = Cluster.options();
+        FileServer &NbladeFiler = Cluster.filer(Nblade);
+        SimDuration Translate =
+            O.NbladeCost + (Remote ? O.ForwardExtraCost : 0);
+        // N-blade: TCP termination + translation to the internal protocol.
+        NbladeFiler.injectWork(Translate, [this, OwnerIndex, Volume, Remote,
+                                           C = std::move(C)]() mutable {
+          const GxOptions &O2 = Cluster.options();
+          if (!Remote) {
+            FileServer &Local = Cluster.filer(Nblade);
+            serveAt(Local, Local.volumeId(Volume), std::move(C));
+            return;
           }
-          slotDone();
-          Done(Reply);
+          // Forward over the cluster fabric to the owning D-blade and
+          // back (Fig. 4.3: at most two nodes touch a request).
+          sched().after(O2.ClusterHopLatency, [this, OwnerIndex, Volume,
+                                               C = std::move(C)]() mutable {
+            const MetaRequest &R = C->Req;
+            Cluster.filer(OwnerIndex)
+                .process(Volume, R,
+                         [this, Reply = replyTo(std::move(C))](
+                             MetaReply &&Rep) mutable {
+                           const GxOptions &O3 = Cluster.options();
+                           sched().after(
+                               O3.ClusterHopLatency,
+                               [this, Reply = std::move(Reply),
+                                Rep = std::move(Rep)]() mutable {
+                                 // Reply passes back through the N-blade.
+                                 Cluster.filer(Nblade).injectWork(
+                                     Cluster.options().ForwardExtraCost,
+                                     [Reply = std::move(Reply),
+                                      Rep = std::move(Rep)]() mutable {
+                                       Reply(std::move(Rep));
+                                     });
+                               });
+                         });
+          });
         });
-  });
+      },
+      // Back on the client: update caches, wrap handles.
+      [this, OwnerIndex, Volume, FullPath](Call &C) {
+        const MetaRequest &R = C.Req;
+        MetaReply &Reply = C.Reply;
+        if (!Reply.ok())
+          return;
+        if (R.Op == MetaOp::Stat || R.Op == MetaOp::Lstat ||
+            R.Op == MetaOp::Open)
+          Cache.insert(FullPath, Reply.A, sched().now());
+        if (isMutation(R.Op))
+          Cache.invalidate(FullPath);
+        if (R.Op == MetaOp::Open) {
+          // Wrap the server handle in a client-local handle so handles
+          // from different volumes cannot collide.
+          FileHandle Local = NextLocalFh++;
+          Handles[Local] = HandleInfo{OwnerIndex, Volume, Reply.Fh};
+          Reply.Fh = Local;
+        }
+      },
+      std::move(Done));
 }
 
 void GxClient::submit(const MetaRequest &Req, Callback Done) {
@@ -156,11 +151,7 @@ void GxClient::submit(const MetaRequest &Req, Callback Done) {
   if (Req.Fh != InvalidHandle && Req.Op != MetaOp::Open) {
     auto It = Handles.find(Req.Fh);
     if (It == Handles.end()) {
-      sched().after(0, [Done = std::move(Done)]() {
-        MetaReply Reply;
-        Reply.Err = FsError::BadFd;
-        Done(Reply);
-      });
+      failLocally(FsError::BadFd, std::move(Done));
       return;
     }
     HandleInfo Info = It->second;
@@ -168,19 +159,14 @@ void GxClient::submit(const MetaRequest &Req, Callback Done) {
       Handles.erase(It);
     MetaRequest Fwd = Req;
     Fwd.Fh = Info.ServerFh;
-    rpc(Info.FilerIndex, Info.Volume, std::move(Fwd), Req.Path,
-        std::move(Done));
+    rpc(Info.FilerIndex, Info.Volume, Fwd, Req.Path, std::move(Done));
     return;
   }
 
   std::string Rel;
   const MountEntry *Mount = Cluster.vldb().resolve(Req.Path, Rel);
   if (!Mount) {
-    sched().after(0, [Done = std::move(Done)]() {
-      MetaReply Reply;
-      Reply.Err = FsError::NoEnt;
-      Done(Reply);
-    });
+    failLocally(FsError::NoEnt, std::move(Done));
     return;
   }
 
@@ -192,11 +178,7 @@ void GxClient::submit(const MetaRequest &Req, Callback Done) {
     // In spite of the single namespace, the server rejects moves between
     // separate volumes (\S 2.6.3: NFS3ERR_XDEV).
     if (!Mount2 || Mount2->Prefix != Mount->Prefix) {
-      sched().after(0, [Done = std::move(Done)]() {
-        MetaReply Reply;
-        Reply.Err = FsError::XDev;
-        Done(Reply);
-      });
+      failLocally(FsError::XDev, std::move(Done));
       return;
     }
     Fwd.Path2 = Rel2;
@@ -205,15 +187,14 @@ void GxClient::submit(const MetaRequest &Req, Callback Done) {
   if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
     if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
       sched().after(Cluster.options().CacheHitCost,
-                    [Done = std::move(Done), A = *A]() {
+                    [Done = std::move(Done), A = *A]() mutable {
                       MetaReply Reply;
                       Reply.A = A;
-                      Done(Reply);
+                      Done(std::move(Reply));
                     });
       return;
     }
   }
 
-  rpc(Mount->ServerIndex, Mount->Volume, std::move(Fwd), Req.Path,
-      std::move(Done));
+  rpc(Mount->ServerIndex, Mount->Volume, Fwd, Req.Path, std::move(Done));
 }

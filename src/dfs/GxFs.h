@@ -101,7 +101,8 @@ private:
     FileHandle ServerFh;
   };
 
-  void rpc(unsigned OwnerIndex, const std::string &Volume, MetaRequest Req,
+  void rpc(unsigned OwnerIndex, const std::string &Volume,
+           const MetaRequest &Req,
            const std::string &FullPath, Callback Done);
 
   GxFs &Cluster;

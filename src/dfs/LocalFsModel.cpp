@@ -54,13 +54,15 @@ void LocalClient::submit(const MetaRequest &Req, Callback Done) {
     VfsLock.lock([this, Service, Done = std::move(Done),
                   Reply = std::move(Reply)]() mutable {
       Cpu.request(Service, [this, Done = std::move(Done),
-                            Reply = std::move(Reply)]() {
+                            Reply = std::move(Reply)]() mutable {
         VfsLock.unlock();
-        Done(Reply);
+        Done(std::move(Reply));
       });
     });
     return;
   }
   Cpu.request(Service, [Done = std::move(Done),
-                        Reply = std::move(Reply)]() { Done(Reply); });
+                        Reply = std::move(Reply)]() mutable {
+    Done(std::move(Reply));
+  });
 }

@@ -54,7 +54,7 @@ LustreClient::LustreClient(const ClientBuilder &B, FileServer &Mds,
   }
   mountWriteBehind(
       WB, Policy,
-      [this](const MetaRequest &R, std::function<void(MetaReply)> Reply) {
+      [this](const MetaRequest &R, ReplyCallback Reply) {
         rpc(R, std::move(Reply));
       },
       &this->Mds, VolId, &Cache);
@@ -74,20 +74,14 @@ void LustreClient::rpc(const MetaRequest &Req, Callback Done) {
   // most of this with pre-created object pools — a small extra cost.
   SimDuration Extra =
       isCreateLike(Req) ? Options.OssObjectCreateCost : SimDuration(0);
-  withSlot([this, Req, Extra, Done = std::move(Done)]() mutable {
-    transact(
-        Req, Extra,
-        [this](const MetaRequest &R, std::function<void(MetaReply)> Reply) {
-          Mds.process(VolId, R, std::move(Reply));
-        },
-        [this, Req, Done = std::move(Done)](MetaReply Reply) {
-          if (Reply.ok() &&
-              (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat))
-            Cache.insert(Req.Path, Reply.A, sched().now());
-          slotDone();
-          Done(Reply);
-        });
-  });
+  RpcClientBase::rpc(
+      Req, Extra, [this](CallRef C) { serveAt(Mds, VolId, std::move(C)); },
+      [this](Call &C) {
+        if (C.Reply.ok() &&
+            (C.Req.Op == MetaOp::Stat || C.Req.Op == MetaOp::Lstat))
+          Cache.insert(C.Req.Path, C.Reply.A, sched().now());
+      },
+      std::move(Done));
 }
 
 void LustreClient::submit(const MetaRequest &Req, Callback Done) {
@@ -113,10 +107,8 @@ void LustreClient::submit(const MetaRequest &Req, Callback Done) {
   }
   if (Req.Op == MetaOp::Fsync) {
     // Nothing is ever dirty on a synchronous client; fsync is local.
-    sched().after(Options.LocalAckCost, [Done = std::move(Done)]() {
-      MetaReply Reply;
-      Done(Reply);
-    });
+    sched().after(Options.LocalAckCost,
+                  [Done = std::move(Done)]() mutable { Done(MetaReply()); });
     return;
   }
   submitDirect(Req, std::move(Done));
@@ -126,10 +118,10 @@ void LustreClient::submitDirect(const MetaRequest &Req, Callback Done) {
   if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
     if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
       sched().after(Options.CacheHitCost,
-                    [Done = std::move(Done), A = *A]() {
+                    [Done = std::move(Done), A = *A]() mutable {
                       MetaReply Reply;
                       Reply.A = A;
-                      Done(Reply);
+                      Done(std::move(Reply));
                     });
       return;
     }

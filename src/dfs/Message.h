@@ -16,6 +16,7 @@
 #define DMETABENCH_DFS_MESSAGE_H
 
 #include "fs/Types.h"
+#include "sim/InplaceFunction.h"
 #include "support/Error.h"
 #include <string>
 #include <vector>
@@ -114,6 +115,14 @@ struct MetaReply {
 
   bool ok() const { return Err == FsError::Ok; }
 };
+
+/// The one type every reply travels through: client submits, server
+/// completions, RPC dispatch, write-behind hooks and the sharded service.
+/// Move-only, so a reply is handed on without a copy, and small captures
+/// (an object pointer plus a few values) stay inline. A capture that holds
+/// another callback does not fit: keep per-operation state in one record
+/// and capture a pointer to it (RpcClientBase::Call).
+using ReplyCallback = InplaceFunction<void(MetaReply &&)>;
 
 /// \name Request constructors
 /// Convenience builders used by plugins, tests and examples.

@@ -54,7 +54,7 @@ NfsClient::NfsClient(const ClientBuilder &B, FileServer &Server,
       NodeIndex(B.nodeIndex()), Cache(Opts.AttrCacheTtl) {
   mountWriteBehind(
       WB, Options.Client.WriteBehind,
-      [this](const MetaRequest &R, std::function<void(MetaReply)> Reply) {
+      [this](const MetaRequest &R, ReplyCallback Reply) {
         rpc(R, std::move(Reply));
       },
       &this->Server, VolId, &Cache);
@@ -107,18 +107,9 @@ void NfsClient::postProcess(const MetaRequest &Req, const MetaReply &Reply) {
 }
 
 void NfsClient::rpc(const MetaRequest &Req, Callback Done) {
-  withSlot([this, Req, Done = std::move(Done)]() mutable {
-    transact(
-        Req, 0,
-        [this](const MetaRequest &R, std::function<void(MetaReply)> Reply) {
-          Server.process(VolId, R, std::move(Reply));
-        },
-        [this, Req, Done = std::move(Done)](MetaReply Reply) {
-          postProcess(Req, Reply);
-          slotDone();
-          Done(Reply);
-        });
-  });
+  RpcClientBase::rpc(
+      Req, 0, [this](CallRef C) { serveAt(Server, VolId, std::move(C)); },
+      [this](Call &C) { postProcess(C.Req, C.Reply); }, std::move(Done));
 }
 
 void NfsClient::submit(const MetaRequest &Req, Callback Done) {
@@ -149,10 +140,10 @@ void NfsClient::submitDirect(const MetaRequest &Req, Callback Done) {
   if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
     if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
       sched().after(Options.CacheHitCost,
-                    [Done = std::move(Done), A = *A]() {
+                    [Done = std::move(Done), A = *A]() mutable {
                       MetaReply Reply;
                       Reply.A = A;
-                      Done(Reply);
+                      Done(std::move(Reply));
                     });
       return;
     }

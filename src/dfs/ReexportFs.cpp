@@ -28,12 +28,12 @@ void ReexportFs::forward(const MetaRequest &Req, ClientFs::Callback Done) {
       Options.GatewayCostPerRequest,
       [this, Req, Done = std::move(Done)]() mutable {
         InnerClient->submit(Req, [this, Done = std::move(Done)](
-                                     MetaReply Reply) {
+                                     MetaReply &&Reply) mutable {
           // The reply pays gateway translation again on the way out.
           GatewayCpu.request(Options.GatewayCostPerRequest,
                              [Done = std::move(Done),
-                              Reply = std::move(Reply)]() {
-                               Done(Reply);
+                              Reply = std::move(Reply)]() mutable {
+                               Done(std::move(Reply));
                              });
         });
       });
@@ -53,30 +53,28 @@ void ReexportClient::submit(const MetaRequest &Req, Callback Done) {
   if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
     if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
       sched().after(Gateway.Options.CacheHitCost,
-                    [Done = std::move(Done), A = *A]() {
+                    [Done = std::move(Done), A = *A]() mutable {
                       MetaReply Reply;
                       Reply.A = A;
-                      Done(Reply);
+                      Done(std::move(Reply));
                     });
       return;
     }
   }
 
-  withSlot([this, Req, Done = std::move(Done)]() mutable {
-    transact(
-        Req, 0,
-        [this](const MetaRequest &R, std::function<void(MetaReply)> Reply) {
-          Gateway.forward(R, std::move(Reply));
-        },
-        [this, Req, Done = std::move(Done)](MetaReply Reply) mutable {
-          if (Reply.ok() &&
-              (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat ||
-               Req.Op == MetaOp::Open))
-            Cache.insert(Req.Path, Reply.A, sched().now());
-          if (isMutation(Req.Op))
-            Cache.invalidate(Req.Path);
-          slotDone();
-          Done(Reply);
-        });
-  });
+  rpc(
+      Req, 0,
+      [this](CallRef C) {
+        const MetaRequest &R = C->Req;
+        Gateway.forward(R, replyTo(std::move(C)));
+      },
+      [this](Call &C) {
+        const MetaRequest &R = C.Req;
+        if (C.Reply.ok() && (R.Op == MetaOp::Stat || R.Op == MetaOp::Lstat ||
+                             R.Op == MetaOp::Open))
+          Cache.insert(R.Path, C.Reply.A, sched().now());
+        if (isMutation(R.Op))
+          Cache.invalidate(R.Path);
+      },
+      std::move(Done));
 }

@@ -9,11 +9,37 @@
 
 using namespace dmb;
 
-void RpcClientBase::mountWriteBehind(
-    std::optional<WriteBehindQueue> &WB, const WriteBehindPolicy &Policy,
-    std::function<void(const MetaRequest &, std::function<void(MetaReply)>)>
-        Issue,
-    FileServer *Eager, uint32_t VolId, AttrCache *Cache) {
+void RpcClientBase::serveAt(FileServer &Server, uint32_t VolId, CallRef C) {
+  Call &X = *C;
+  if (X.ReplyHeld) {
+    // A retransmit overtook an earlier attempt whose reply still occupies
+    // the record: this attempt's reply travels on its own.
+    Server.process(VolId, X.Req, replyTo(std::move(C)));
+    return;
+  }
+  X.ReplyHeld = true;
+  // The server executes at arrival and returns the reply now; it leaves
+  // once the server has finished the work. Committed always runs as a
+  // later event, so the record is filled before anything reads it.
+  X.Reply =
+      Server.processEager(VolId, X.Req, [this, C = std::move(C)]() mutable {
+        NetworkLink::Delivery RD = FromServer.plan(0);
+        if (RD.Dropped) {
+          C->ReplyHeld = false; // reply lost; the retransmit timer recovers
+          return;
+        }
+        Sched.after(RD.Delay, [this, C = std::move(C)]() mutable {
+          C->ReplyHeld = false;
+          deliver(*C);
+        });
+      });
+}
+
+void RpcClientBase::mountWriteBehind(std::optional<WriteBehindQueue> &WB,
+                                     const WriteBehindPolicy &Policy,
+                                     WriteBehindHooks::IssueFn Issue,
+                                     FileServer *Eager, uint32_t VolId,
+                                     AttrCache *Cache) {
   if (!Policy.enabled())
     return;
   WriteBehindHooks Hooks;
@@ -21,7 +47,7 @@ void RpcClientBase::mountWriteBehind(
   Hooks.AllocXid = [this]() { return allocXid(); };
   if (Eager)
     Hooks.ApplyEager = [Eager, VolId](const MetaRequest &R,
-                                      std::function<void()> Committed) {
+                                      Scheduler::Action Committed) {
       return Eager->processEager(VolId, R, std::move(Committed));
     };
   Hooks.Cache = Cache;

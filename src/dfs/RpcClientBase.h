@@ -17,7 +17,14 @@
 /// timeout configured the client retransmits with exponential backoff,
 /// keeps its RPC slot across retries, reuses the same (ClientId, Xid) on
 /// every attempt so the server's duplicate-request cache can recognise the
-/// retransmit, and discards orphaned late replies.
+/// retransmit, and discards orphaned late replies. Both are one code path:
+/// fire-and-forget simply arms no timer.
+///
+/// Each exchange keeps all of its state — the request, the caller's
+/// callback, the reply — in one heap record (Call), allocated when the RPC
+/// is issued and freed when the last event pointing at it has run. Every
+/// scheduled hop captures only a reference to it, so the hops fit the
+/// scheduler's inline event storage and the request is copied once.
 ///
 /// Construction goes through dfs/ClientBuilder.h, and the common
 /// write-behind wiring every model used to copy lives in
@@ -39,10 +46,9 @@
 #include "sim/Network.h"
 #include "sim/Scheduler.h"
 #include "sim/Trace.h"
-#include <functional>
-#include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace dmb {
 
@@ -56,10 +62,72 @@ protected:
         Slots(Config.RpcSlots ? Config.RpcSlots : 1),
         ToServer(Sched, Config.Net), FromServer(Sched, Config.Net) {}
 
+  struct Call;
+
+  /// Shared ownership of a Call: the exchange itself, each scheduled hop
+  /// and each server holding the request own one reference. Move-only and
+  /// pointer-sized, so it fits any inline callback. The record is freed
+  /// with its last reference — at completion, or with the pending events
+  /// of a scheduler torn down mid-run.
+  class CallRef {
+  public:
+    CallRef() = default;
+    explicit CallRef(Call *C) : P(C) {
+      if (P)
+        ++P->Refs;
+    }
+    CallRef(CallRef &&O) noexcept : P(std::exchange(O.P, nullptr)) {}
+    CallRef &operator=(CallRef &&O) noexcept {
+      std::swap(P, O.P);
+      return *this;
+    }
+    CallRef(const CallRef &) = delete;
+    CallRef &operator=(const CallRef &) = delete;
+    ~CallRef() {
+      if (P && --P->Refs == 0)
+        delete P;
+    }
+    Call *operator->() const { return P; }
+    Call &operator*() const { return *P; }
+    /// A further reference to the same record.
+    CallRef share() const { return CallRef(P); }
+
+  private:
+    Call *P = nullptr;
+  };
+
+  /// Server half of one attempt: hands the (xid-stamped) request in the
+  /// record to the server. The reply comes back through serveAt() or a
+  /// replyTo() callback, at most once per attempt.
+  using DispatchFn = InplaceFunction<void(CallRef), 16>;
+  /// Client half: runs on the reply (or the timeout) before the slot is
+  /// freed and the caller's callback fires — cache updates, handle
+  /// wrapping. May rewrite Call::Reply.
+  using ReplyHook = InplaceFunction<void(Call &), 16>;
+
+  /// The state of one exchange.
+  struct Call {
+    MetaRequest Req; ///< as sent; one Xid on every attempt
+    /// The reply between server execution (or arrival at the client) and
+    /// delivery. A second attempt answering while it is occupied carries
+    /// its reply in its own hop instead.
+    MetaReply Reply;
+    ReplyCallback Done; ///< the caller's callback
+    DispatchFn Dispatch;
+    ReplyHook OnReply;
+    SimDuration SendExtra = 0;
+    unsigned Refs = 0;
+    unsigned Attempt = 0;     ///< retransmits so far
+    bool HoldsSlot = false;   ///< completion frees the RPC slot
+    bool ReplyHeld = false;   ///< Reply is occupied by an attempt
+    bool Completed = false;
+  };
+
   /// Runs \p RpcFn once a slot is free. RpcFn must eventually call
-  /// slotDone() exactly once. The slot grant is the operation's NetOut
-  /// hop: the request leaves the client once it holds an RPC slot.
-  void withSlot(std::function<void()> RpcFn) {
+  /// slotDone() exactly once (rpc() does so at completion). The slot grant
+  /// is the operation's NetOut hop: the request leaves the client once it
+  /// holds an RPC slot.
+  void withSlot(Scheduler::Action RpcFn) {
     uint64_t Ctx = Sched.activeTrace();
     if (LockOrderGraph *G = Sched.lockOrder())
       G->onRequest(this, "RpcSlots", Ctx, Sched.now());
@@ -91,7 +159,7 @@ protected:
       // The slot transfers to the queued request, which belongs to a
       // different operation than the one whose completion freed the slot.
       uint64_t Prev = Sched.swapActiveTrace(Next.Trace);
-      Sched.after(0, [this, Fn = std::move(Next.Fn)]() {
+      Sched.after(0, [this, Fn = std::move(Next.Fn)]() mutable {
         Sched.traceStamp(TracePoint::NetOut);
         Fn();
       });
@@ -102,68 +170,67 @@ protected:
     DMB_HB_WRITE(Sched, InFlight, "RpcClientBase.InFlight");
   }
 
-  /// Server-side half of an exchange: receives the (xid-stamped) request
-  /// and must eventually run the reply continuation exactly once per call.
-  using DispatchFn =
-      std::function<void(const MetaRequest &, std::function<void(MetaReply)>)>;
+  /// One RPC: waits for a slot, exchanges \p Req with the server through
+  /// \p Dispatch, runs \p OnReply (may be empty), frees the slot and hands
+  /// the reply to \p Done. The request message spends \p SendExtra on top
+  /// of the link delay (model-specific costs such as OSS object creation
+  /// or VLDB lookups).
+  void rpc(const MetaRequest &Req, SimDuration SendExtra, DispatchFn Dispatch,
+           ReplyHook OnReply, ReplyCallback Done) {
+    CallRef C = newCall(Req, std::move(Dispatch), std::move(Done));
+    C->SendExtra = SendExtra;
+    C->OnReply = std::move(OnReply);
+    C->HoldsSlot = true;
+    withSlot([this, C = std::move(C)]() mutable { transact(std::move(C)); });
+  }
 
-  /// One client<->server exchange: request hop over this client's link,
-  /// \p Dispatch at the server, reply hop back, then \p OnReply. The
-  /// request message spends \p SendExtra on top of the link delay
-  /// (model-specific costs such as OSS object creation or VLDB lookups).
-  ///
-  /// Fire-and-forget (Retry.Timeout == 0): a single attempt whose event
-  /// chain and timing are identical to the historical
-  /// `after(latency + extra) -> process -> after(latency)` sequence; a
-  /// message lost to the fault policy hangs the operation, like a
-  /// hard-mounted NFS client with retransmits disabled.
-  ///
-  /// Resilient (Retry.Timeout > 0): every attempt carries the same
-  /// (ClientId, Xid); a timer retransmits on loss with exponential backoff
-  /// capped at Retry.MaxTimeout, the RPC slot is held across retries, and
-  /// once Retry.MaxRetransmits retransmits are exhausted the operation
-  /// completes with FsError::TimedOut. Late replies of superseded attempts
-  /// are discarded at delivery. Retransmit wait time shows up in trace.txt
-  /// inside the NetOut->QueueEnter (request lost) or ServiceEnd->Deliver
-  /// (reply lost) span of the operation.
-  void transact(const MetaRequest &Req, SimDuration SendExtra,
-                DispatchFn Dispatch, std::function<void(MetaReply)> OnReply) {
-    if (!Config.Retry.enabled()) {
-      // Single-attempt path. plan() keeps the traffic counters truthful;
-      // with no faults configured it cannot drop and adds no jitter, so
-      // the schedule is bit-identical to the fire-and-forget client.
-      NetworkLink::Delivery D = ToServer.plan(0);
-      if (D.Dropped)
+  /// One exchange for a caller that already holds a slot (a redirect loop
+  /// re-issuing under it): \p Done receives the reply, the slot stays
+  /// held.
+  void transact(const MetaRequest &Req, DispatchFn Dispatch,
+                ReplyCallback Done) {
+    transact(newCall(Req, std::move(Dispatch), std::move(Done)));
+  }
+
+  /// Server half for models backed by a FileServer: executes the request
+  /// at arrival straight into the record, and sends the reply once the
+  /// server has committed it.
+  void serveAt(FileServer &Server, uint32_t VolId, CallRef C);
+
+  /// A reply callback for servers that answer through one (gateways,
+  /// the sharded service): the reply hop back to this client.
+  ReplyCallback replyTo(CallRef C) {
+    return [this, C = std::move(C)](MetaReply &&Reply) mutable {
+      NetworkLink::Delivery RD = FromServer.plan(0);
+      if (RD.Dropped)
+        return; // reply lost; the retransmit timer recovers
+      if (!C->ReplyHeld) {
+        C->ReplyHeld = true;
+        C->Reply = std::move(Reply);
+        Sched.after(RD.Delay, [this, C = std::move(C)]() mutable {
+          C->ReplyHeld = false;
+          deliver(*C);
+        });
         return;
-      Sched.after(D.Delay + SendExtra,
-                  [this, Req, Dispatch = std::move(Dispatch),
-                   OnReply = std::move(OnReply)]() mutable {
-                    Dispatch(Req, [this, OnReply = std::move(OnReply)](
-                                      MetaReply Reply) mutable {
-                      NetworkLink::Delivery RD = FromServer.plan(0);
-                      if (RD.Dropped)
-                        return;
-                      Sched.after(RD.Delay,
-                                  [OnReply = std::move(OnReply),
-                                   Reply = std::move(Reply)]() mutable {
-                                    OnReply(std::move(Reply));
-                                  });
-                    });
-                  });
-      return;
-    }
-    auto Ex = std::make_shared<Exchange>();
-    Ex->Req = Req;
-    Ex->Req.ClientId = ClientIdV;
-    // A caller-stamped Xid is kept (pinned): a client re-issuing a
-    // redirected operation passes the original Xid so the destination
-    // server's duplicate-request cache still recognises the op. Requests
-    // built by the ordinary constructors carry Xid 0 and get a fresh one.
-    Ex->Req.Xid = Req.Xid ? Req.Xid : ++LastXid;
-    Ex->SendExtra = SendExtra;
-    Ex->Dispatch = std::move(Dispatch);
-    Ex->OnReply = std::move(OnReply);
-    startAttempt(std::move(Ex));
+      }
+      Sched.after(RD.Delay, [this, C = std::move(C),
+                             Reply = std::move(Reply)]() mutable {
+        if (!C->Completed)
+          C->Reply = std::move(Reply);
+        deliver(*C);
+      });
+    };
+  }
+
+  /// Answers \p Done with \p Err on the next tick, without a round trip
+  /// (errors the client sees before sending: bad handles, unroutable
+  /// paths).
+  void failLocally(FsError Err, ReplyCallback Done) {
+    Sched.after(0, [Err, Done = std::move(Done)]() mutable {
+      MetaReply R;
+      R.Err = Err;
+      Done(std::move(R));
+    });
   }
 
   /// Mounts \p WB behind \p Policy with the hook wiring every model used
@@ -172,12 +239,11 @@ protected:
   /// time, and — when \p Eager is non-null — ApplyEager applies eager-
   /// discipline ops at \p Eager under \p VolId with \p Cache kept
   /// coherent. No-op when the policy is disabled.
-  void mountWriteBehind(
-      std::optional<WriteBehindQueue> &WB, const WriteBehindPolicy &Policy,
-      std::function<void(const MetaRequest &, std::function<void(MetaReply)>)>
-          Issue,
-      FileServer *Eager = nullptr, uint32_t VolId = 0,
-      AttrCache *Cache = nullptr);
+  void mountWriteBehind(std::optional<WriteBehindQueue> &WB,
+                        const WriteBehindPolicy &Policy,
+                        WriteBehindHooks::IssueFn Issue,
+                        FileServer *Eager = nullptr, uint32_t VolId = 0,
+                        AttrCache *Cache = nullptr);
 
   Scheduler &sched() { return Sched; }
   SimDuration oneWayLatency() const { return Config.Net.OneWayLatency; }
@@ -209,7 +275,7 @@ public:
 
 private:
   struct PendingRpc {
-    std::function<void()> Fn;
+    Scheduler::Action Fn;
     uint64_t Trace = 0; ///< trace id of the queued operation
   };
 
@@ -252,15 +318,12 @@ private:
     size_t Count = 0;
   };
 
-  /// Retry state shared by the attempts of one logical operation.
-  struct Exchange {
-    MetaRequest Req; ///< same Xid on every attempt
-    SimDuration SendExtra = 0;
-    DispatchFn Dispatch;
-    std::function<void(MetaReply)> OnReply;
-    bool Completed = false;
-    unsigned Attempt = 0; ///< retransmits so far
-  };
+  CallRef newCall(const MetaRequest &Req, DispatchFn Dispatch,
+                  ReplyCallback Done) {
+    CallRef C(new Call{Req, MetaReply(), std::move(Done), std::move(Dispatch),
+                       ReplyHook()});
+    return C;
+  }
 
   SimDuration timeoutFor(unsigned Attempt) const {
     // The backoff train is computed step-by-step in integer sim-time: a
@@ -279,37 +342,72 @@ private:
     return T < Config.Retry.MaxTimeout ? T : Config.Retry.MaxTimeout;
   }
 
-  void startAttempt(std::shared_ptr<Exchange> Ex) {
+  /// One client<->server exchange: request hop over this client's link,
+  /// the record's Dispatch at the server, reply hop back, then completion.
+  ///
+  /// Fire-and-forget (Retry.Timeout == 0): a single attempt, no timer —
+  /// the event chain is `after(latency + extra) -> server -> after(latency)`;
+  /// a message lost to the fault policy hangs the operation, like a
+  /// hard-mounted NFS client with retransmits disabled.
+  ///
+  /// Resilient (Retry.Timeout > 0): every attempt carries the same
+  /// (ClientId, Xid); a timer retransmits on loss with exponential backoff
+  /// capped at Retry.MaxTimeout, the RPC slot is held across retries, and
+  /// once Retry.MaxRetransmits retransmits are exhausted the operation
+  /// completes with FsError::TimedOut. Late replies of superseded attempts
+  /// are discarded at delivery. Retransmit wait time shows up in trace.txt
+  /// inside the NetOut->QueueEnter (request lost) or ServiceEnd->Deliver
+  /// (reply lost) span of the operation.
+  void transact(CallRef C) {
+    if (Config.Retry.enabled()) {
+      C->Req.ClientId = ClientIdV;
+      // A caller-stamped Xid is kept (pinned): a client re-issuing a
+      // redirected operation passes the original Xid so the destination
+      // server's duplicate-request cache still recognises the op. Requests
+      // built by the ordinary constructors carry Xid 0 and get a fresh
+      // one.
+      if (!C->Req.Xid)
+        C->Req.Xid = ++LastXid;
+    }
+    startAttempt(C);
+  }
+
+  void startAttempt(const CallRef &C) {
+    // plan() keeps the traffic counters truthful; with no faults
+    // configured it cannot drop and adds no jitter.
     NetworkLink::Delivery D = ToServer.plan(0);
     if (!D.Dropped)
-      Sched.after(D.Delay + Ex->SendExtra, [this, Ex]() {
-        Ex->Dispatch(Ex->Req, [this, Ex](MetaReply Reply) {
-          NetworkLink::Delivery RD = FromServer.plan(0);
-          if (RD.Dropped)
-            return; // reply lost; the retransmit timer recovers
-          Sched.after(RD.Delay, [Ex, Reply = std::move(Reply)]() mutable {
-            if (Ex->Completed)
-              return; // orphan reply of a superseded attempt
-            Ex->Completed = true;
-            Ex->OnReply(std::move(Reply));
-          });
-        });
-      });
-    Sched.after(timeoutFor(Ex->Attempt), [this, Ex]() {
-      if (Ex->Completed)
+      Sched.after(D.Delay + C->SendExtra,
+                  [C = C.share()]() { C->Dispatch(C.share()); });
+    if (!Config.Retry.enabled())
+      return;
+    Sched.after(timeoutFor(C->Attempt), [this, C = C.share()]() {
+      if (C->Completed)
         return;
-      if (Ex->Attempt >= Config.Retry.MaxRetransmits) {
-        Ex->Completed = true;
+      if (C->Attempt >= Config.Retry.MaxRetransmits) {
         ++TimedOutOps;
-        MetaReply R;
-        R.Err = FsError::TimedOut;
-        Ex->OnReply(std::move(R));
+        C->Reply = MetaReply();
+        C->Reply.Err = FsError::TimedOut;
+        deliver(*C);
         return;
       }
-      ++Ex->Attempt;
+      ++C->Attempt;
       ++Retransmits;
-      startAttempt(Ex);
+      startAttempt(C);
     });
+  }
+
+  /// Completes the exchange with Call::Reply unless an earlier attempt
+  /// already did (an orphan reply of a superseded attempt).
+  void deliver(Call &C) {
+    if (C.Completed)
+      return;
+    C.Completed = true;
+    if (C.OnReply)
+      C.OnReply(C);
+    if (C.HoldsSlot)
+      slotDone();
+    C.Done(std::move(C.Reply));
   }
 
   Scheduler &Sched;

@@ -122,19 +122,20 @@ void ShardedFs::ensurePartitionDir(uint64_t DirToken, unsigned Partition) {
 }
 
 void ShardedFs::forward(unsigned Shard, const MetaRequest &R,
-                        std::function<void(MetaReply)> Reply) {
+                        ReplyCallback Reply) {
   Shards[Shard]->process(
-      VolIds[Shard], R, [this, Reply = std::move(Reply)](MetaReply Rep) {
+      VolIds[Shard], R,
+      [this, Reply = std::move(Reply)](MetaReply &&Rep) mutable {
         Rep.MapEpoch = Map.epoch();
         Reply(std::move(Rep));
       });
 }
 
 void ShardedFs::replyError(unsigned Shard, FsError Err,
-                           std::function<void(MetaReply)> Reply) {
+                           ReplyCallback Reply) {
   uint64_t Epoch = Map.epoch();
   Shards[Shard]->injectWork(Options.StaleReplyCost,
-                            [Err, Epoch, Reply = std::move(Reply)]() {
+                            [Err, Epoch, Reply = std::move(Reply)]() mutable {
                               MetaReply R;
                               R.Err = Err;
                               R.MapEpoch = Epoch;
@@ -143,13 +144,13 @@ void ShardedFs::replyError(unsigned Shard, FsError Err,
 }
 
 void ShardedFs::replyStale(unsigned Shard,
-                           std::function<void(MetaReply)> Reply) {
+                           ReplyCallback Reply) {
   ++StaleReplies;
   replyError(Shard, FsError::StaleMap, std::move(Reply));
 }
 
 void ShardedFs::dispatchAtShard(unsigned Shard, const MetaRequest &R,
-                                std::function<void(MetaReply)> Reply) {
+                                ReplyCallback Reply) {
   DMB_ASSERT(Shard < Shards.size(), "bad shard index");
   // Join the shard's ingest batch for this timestamp; a fresh batch
   // schedules its own admission one quantum out. The flush runs strictly
@@ -193,7 +194,7 @@ void ShardedFs::flushArrivals(unsigned Shard) {
 }
 
 void ShardedFs::dispatchNow(unsigned Shard, const MetaRequest &R,
-                            std::function<void(MetaReply)> Reply) {
+                            ReplyCallback Reply) {
   PartitionMap::ParsedPath P;
   if (R.Path.empty() || !PartitionMap::parse(R.Path, P)) {
     // Handle-based operations (no path) route by the handle the client
@@ -268,7 +269,7 @@ void ShardedFs::dispatchNow(unsigned Shard, const MetaRequest &R,
 }
 
 void ShardedFs::dispatchReaddir(unsigned Shard, const MetaRequest &R,
-                                std::function<void(MetaReply)> Reply) {
+                                ReplyCallback Reply) {
   PartitionMap::ParsedPath P;
   bool Parsed = PartitionMap::parse(R.Path, P);
   DMB_ASSERT(Parsed, "fan-out readdir needs a partition path");
@@ -342,7 +343,7 @@ void ShardedFs::dispatchReaddir(unsigned Shard, const MetaRequest &R,
 }
 
 void ShardedFs::dispatchRmdir(unsigned Shard, const MetaRequest &R,
-                              std::function<void(MetaReply)> Reply) {
+                              ReplyCallback Reply) {
   PartitionMap::ParsedPath P;
   bool Parsed = PartitionMap::parse(R.Path, P);
   DMB_ASSERT(Parsed && !P.Leaf.empty(), "fan-out rmdir needs a marker path");
@@ -670,8 +671,7 @@ ShardedClient::ShardedClient(const ClientBuilder &B, ShardedFs &Fs)
   // here is always the deferred pipeline.
   Policy.DeferIssue = true;
   mountWriteBehind(WB, Policy,
-                   [this](const MetaRequest &R,
-                          std::function<void(MetaReply)> Reply) {
+                   [this](const MetaRequest &R, ReplyCallback Reply) {
                      submitDirect(R, std::move(Reply));
                    });
 }
@@ -690,14 +690,6 @@ void ShardedClient::dropCaches() {
 uint64_t ShardedClient::bitmapFor(uint64_t DirToken) const {
   auto It = BitmapCache.find(DirToken);
   return It == BitmapCache.end() ? 1 : It->second;
-}
-
-void ShardedClient::failLocally(FsError Err, Callback Done) {
-  sched().after(0, [Err, Done = std::move(Done)]() {
-    MetaReply R;
-    R.Err = Err;
-    Done(std::move(R));
-  });
 }
 
 ShardedClient::Route ShardedClient::route(const MetaRequest &Req) const {
@@ -817,17 +809,13 @@ void ShardedClient::submitDirect(const MetaRequest &Req, Callback Done) {
       Handles.erase(It);
     MetaRequest Fwd = Req;
     Fwd.Fh = Info.ServerFh;
-    withSlot([this, Fwd = std::move(Fwd), Info, Done = std::move(Done)]() mutable {
-      transact(Fwd, 0,
-               [this, Info](const MetaRequest &R,
-                            std::function<void(MetaReply)> Reply) {
-                 Fs.dispatchAtShard(Info.Shard, R, std::move(Reply));
-               },
-               [this, Done = std::move(Done)](MetaReply Reply) mutable {
-                 slotDone();
-                 Done(std::move(Reply));
-               });
-    });
+    rpc(
+        Fwd, 0,
+        [this, Shard = Info.Shard](CallRef C) {
+          const MetaRequest &R = C->Req;
+          Fs.dispatchAtShard(Shard, R, replyTo(std::move(C)));
+        },
+        ReplyHook(), std::move(Done));
     return;
   }
   // Errors the first routing pass can already see (bad paths, cross-shard
@@ -842,64 +830,72 @@ void ShardedClient::submitDirect(const MetaRequest &Req, Callback Done) {
   // refreshed map points at — carries the same DRC identity. A request
   // arriving with an Xid already stamped (the write-behind queue pins one
   // at enqueue) keeps it.
-  uint64_t Xid = Req.Xid ? Req.Xid : allocXid();
-  withSlot([this, Req, Xid, Done = std::move(Done)]() mutable {
-    attempt(Req, Xid, Fs.options().MaxRedirects,
-            [this, Done = std::move(Done)](MetaReply Reply) mutable {
-              slotDone();
-              Done(std::move(Reply));
-            });
-  });
+  auto Op = std::make_unique<PathOp>();
+  Op->Req = Req;
+  Op->Done = std::move(Done);
+  Op->Xid = Req.Xid ? Req.Xid : allocXid();
+  Op->RedirectsLeft = Fs.options().MaxRedirects;
+  withSlot([this, Op = std::move(Op)]() mutable { attempt(std::move(Op)); });
 }
 
-void ShardedClient::attempt(const MetaRequest &Req, uint64_t Xid,
-                            unsigned RedirectsLeft, Callback Done) {
+void ShardedClient::finish(std::unique_ptr<PathOp> Op, MetaReply &&Reply) {
+  slotDone();
+  Op->Done(std::move(Reply));
+}
+
+void ShardedClient::attempt(std::unique_ptr<PathOp> Op) {
   // Re-route on every attempt: a refresh may have changed the partition,
   // the physical path, and the owning shard.
-  Route Rt = route(Req);
+  Route Rt = route(Op->Req);
   if (Rt.Err != FsError::Ok) {
-    failLocally(Rt.Err, std::move(Done));
+    failLocally(Rt.Err,
+                [this, Op = std::move(Op)](MetaReply &&Reply) mutable {
+                  finish(std::move(Op), std::move(Reply));
+                });
     return;
   }
   Rt.Phys.ClientId = rpcClientId();
-  Rt.Phys.Xid = Xid;
+  Rt.Phys.Xid = Op->Xid;
   Rt.Phys.MapEpoch = CachedEpoch;
   unsigned Shard = Rt.Shard;
-  uint64_t Tok = Rt.DirToken;
-  uint64_t Tok2 = Rt.DirToken2;
+  Op->Shard = Shard;
+  Op->Tok = Rt.DirToken;
+  Op->Tok2 = Rt.DirToken2;
   transact(
-      Rt.Phys, 0,
-      [this, Shard](const MetaRequest &R,
-                    std::function<void(MetaReply)> Reply) {
-        Fs.dispatchAtShard(Shard, R, std::move(Reply));
+      Rt.Phys,
+      [this, Shard](CallRef C) {
+        const MetaRequest &R = C->Req;
+        Fs.dispatchAtShard(Shard, R, replyTo(std::move(C)));
       },
-      [this, Req, Xid, RedirectsLeft, Shard, Tok, Tok2,
-       Done = std::move(Done)](MetaReply Reply) mutable {
-        if (Reply.Err == FsError::StaleMap && RedirectsLeft > 0) {
-          ++StaleRetries;
-          // Refresh the routed directories' bitmaps from the map service —
-          // a reliable control-plane round trip (fixed latency, not subject
-          // to the data-path fault policy) — then re-issue under the same
-          // Xid.
-          sched().after(
-              Fs.options().MapFetchLatency,
-              [this, Req, Xid, RedirectsLeft, Tok, Tok2,
-               Done = std::move(Done)]() mutable {
-                BitmapCache[Tok] = Fs.fetchBitmap(Tok);
-                if (Tok2)
-                  BitmapCache[Tok2] = Fs.fetchBitmap(Tok2);
-                CachedEpoch = Fs.mapEpoch();
-                attempt(Req, Xid, RedirectsLeft - 1, std::move(Done));
-              });
-          return;
-        }
-        if (Reply.ok() && Req.Op == MetaOp::Open) {
-          // Wrap the server handle so handles from different shards cannot
-          // collide at the client.
-          FileHandle Local = NextLocalFh++;
-          Handles[Local] = HandleInfo{Shard, Reply.Fh};
-          Reply.Fh = Local;
-        }
-        Done(std::move(Reply));
+      [this, Op = std::move(Op)](MetaReply &&Reply) mutable {
+        onAttemptReply(std::move(Op), std::move(Reply));
       });
+}
+
+void ShardedClient::onAttemptReply(std::unique_ptr<PathOp> Op,
+                                   MetaReply &&Reply) {
+  if (Reply.Err == FsError::StaleMap && Op->RedirectsLeft > 0) {
+    ++StaleRetries;
+    // Refresh the routed directories' bitmaps from the map service — a
+    // reliable control-plane round trip (fixed latency, not subject to the
+    // data-path fault policy) — then re-issue under the same Xid.
+    sched().after(Fs.options().MapFetchLatency,
+                  [this, Op = std::move(Op)]() mutable {
+                    BitmapCache[Op->Tok] = Fs.fetchBitmap(Op->Tok);
+                    if (Op->Tok2)
+                      BitmapCache[Op->Tok2] = Fs.fetchBitmap(Op->Tok2);
+                    CachedEpoch = Fs.mapEpoch();
+                    --Op->RedirectsLeft;
+                    attempt(std::move(Op));
+                  });
+    return;
+  }
+  if (Reply.ok() && Op->Req.Op == MetaOp::Open) {
+    // Wrap the server handle so handles from different shards cannot
+    // collide at the client.
+    FileHandle Local = NextLocalFh++;
+    Handles[Local] = HandleInfo{Op->Shard, Reply.Fh};
+    Reply.Fh = Local;
+  }
+  finish(std::move(Op), std::move(Reply));
 }

@@ -140,7 +140,7 @@ public:
   /// readdir/rmdir, and the forward into the shard's FileServer.
   /// \p Reply fires exactly once.
   void dispatchAtShard(unsigned Shard, const MetaRequest &R,
-                       std::function<void(MetaReply)> Reply);
+                       ReplyCallback Reply);
 
   /// Control-plane fetch of a directory's current partition bitmap (1 — a
   /// single partition 0 — for unknown directories). The client charges
@@ -155,7 +155,7 @@ private:
   /// the operation it belongs to (restored around its admission).
   struct PendingArrival {
     MetaRequest Req;
-    std::function<void(MetaReply)> Reply;
+    ReplyCallback Reply;
     uint64_t Trace = 0;
   };
   /// All requests delivered to one shard at one timestamp; admitted
@@ -170,7 +170,7 @@ private:
   void flushArrivals(unsigned Shard);
   /// The admission path behind dispatchAtShard() (see there).
   void dispatchNow(unsigned Shard, const MetaRequest &R,
-                   std::function<void(MetaReply)> Reply);
+                   ReplyCallback Reply);
 
   /// Executes \p Req directly on a shard volume (server-internal work:
   /// partition directories, migrations), journaling successful journalable
@@ -204,20 +204,20 @@ private:
 
   /// Fan-out implementations (coordinator = the shard owning partition 0).
   void dispatchReaddir(unsigned Shard, const MetaRequest &R,
-                       std::function<void(MetaReply)> Reply);
+                       ReplyCallback Reply);
   void dispatchRmdir(unsigned Shard, const MetaRequest &R,
-                     std::function<void(MetaReply)> Reply);
+                     ReplyCallback Reply);
 
   /// Forwards \p R into the shard's FileServer, stamping the current map
   /// epoch onto the reply.
   void forward(unsigned Shard, const MetaRequest &R,
-               std::function<void(MetaReply)> Reply);
+               ReplyCallback Reply);
   /// Answers \p Reply with \p Err from shard \p Shard after the (small)
   /// rejection cost, stamping the current map epoch.
   void replyError(unsigned Shard, FsError Err,
-                  std::function<void(MetaReply)> Reply);
+                  ReplyCallback Reply);
   /// replyError(StaleMap), counted.
-  void replyStale(unsigned Shard, std::function<void(MetaReply)> Reply);
+  void replyStale(unsigned Shard, ReplyCallback Reply);
 
   Scheduler &Sched;
   ShardedOptions Options;
@@ -273,15 +273,31 @@ private:
 
   Route route(const MetaRequest &Req) const;
   uint64_t bitmapFor(uint64_t DirToken) const;
+  /// A path operation across its StaleMap redirects, all under one RPC
+  /// slot: the client-side request (re-routed on every attempt), the
+  /// caller's callback and the pinned Xid.
+  struct PathOp {
+    MetaRequest Req;
+    ReplyCallback Done;
+    uint64_t Xid = 0;
+    unsigned RedirectsLeft = 0;
+    /// Routing of the current attempt: its shard, and the bitmaps to
+    /// refresh on StaleMap.
+    unsigned Shard = 0;
+    uint64_t Tok = 0;
+    uint64_t Tok2 = 0;
+  };
+
   /// The routed issue path behind submit(): handle-op forwarding and
   /// redirect-following path ops. Honors a pre-pinned Req.Xid (the
   /// write-behind queue pins one per op at enqueue).
   void submitDirect(const MetaRequest &Req, Callback Done);
-  /// Issues one routed attempt; follows StaleMap redirects re-using
-  /// \p Xid until RedirectsLeft runs out. Runs under one RPC slot.
-  void attempt(const MetaRequest &Req, uint64_t Xid, unsigned RedirectsLeft,
-               Callback Done);
-  void failLocally(FsError Err, Callback Done);
+  /// Issues one routed attempt of \p Op.
+  void attempt(std::unique_ptr<PathOp> Op);
+  /// Follows a StaleMap redirect while RedirectsLeft lasts, else finishes.
+  void onAttemptReply(std::unique_ptr<PathOp> Op, MetaReply &&Reply);
+  /// Frees the slot and answers the caller.
+  void finish(std::unique_ptr<PathOp> Op, MetaReply &&Reply);
 
   ShardedFs &Fs;
   unsigned NodeIndex;

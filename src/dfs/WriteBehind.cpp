@@ -405,7 +405,7 @@ void WriteBehindQueue::issueOp(Op &O) {
                "write-behind issued a handle op before its open resolved");
     Wire.Fh = HIt->second.ServerFh;
   }
-  Hooks.Issue(Wire, [this, Id](MetaReply Reply) {
+  Hooks.Issue(Wire, [this, Id](MetaReply &&Reply) {
     onOpDone(Id, std::move(Reply));
   });
 }
@@ -479,7 +479,7 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
     if (RIt != Ops.end() && RIt->second.State == Op::St::Scheduled)
       issueOp(RIt->second);
   }
-  for (std::function<void()> &W : O.Waiters)
+  for (Scheduler::Action &W : O.Waiters)
     W();
   DMB_ASSERT(Live > 0, "write-behind live count underflow");
   --Live;
@@ -488,14 +488,14 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
 
 void WriteBehindQueue::drainStalledAndBarriers() {
   while (!Stalled.empty() && Live < Policy.MaxQueuedOps) {
-    std::function<void()> Next = std::move(Stalled.front());
+    Scheduler::Action Next = std::move(Stalled.front());
     Stalled.pop_front();
     Next();
   }
   if (Live == 0 && Stalled.empty() && !IdleWaiters.empty()) {
-    std::vector<std::function<void()>> Waiters = std::move(IdleWaiters);
+    std::vector<Scheduler::Action> Waiters = std::move(IdleWaiters);
     IdleWaiters.clear();
-    for (std::function<void()> &W : Waiters)
+    for (Scheduler::Action &W : Waiters)
       W();
   }
 }
@@ -520,14 +520,14 @@ WriteBehindQueue::closureOf(std::vector<uint64_t> Seeds) const {
 }
 
 void WriteBehindQueue::awaitClosure(std::vector<uint64_t> Seeds,
-                                    std::function<void()> Done) {
+                                    Scheduler::Action Done) {
   std::set<uint64_t> Closure = closureOf(std::move(Seeds));
   if (Closure.empty()) {
     Done();
     return;
   }
   auto Remaining = std::make_shared<size_t>(Closure.size());
-  auto Shared = std::make_shared<std::function<void()>>(std::move(Done));
+  auto Shared = std::make_shared<Scheduler::Action>(std::move(Done));
   std::vector<uint64_t> Claimed;
   for (uint64_t Id : Closure) {
     Op &O = Ops.at(Id);
@@ -573,16 +573,18 @@ void WriteBehindQueue::fsync(const MetaRequest &Req, Callback Done) {
       localAck(std::move(Done), std::move(Reply));
       return;
     }
-    IdleWaiters.push_back([this, Done = std::move(Done)]() {
+    IdleWaiters.push_back([this, Done = std::move(Done)]() mutable {
       MetaReply Reply;
       Reply.Err = consumeSticky();
-      Sched.after(0, [Done, Reply]() { Done(Reply); });
+      Sched.after(0, [Done = std::move(Done), Reply]() mutable {
+        Done(std::move(Reply));
+      });
     });
     return;
   }
   // Targeted barrier: drain exactly the dependency closure of this
   // file's ops — the rest of the queue keeps riding behind.
-  awaitClosure(seedsFor(Req), [this, Done = std::move(Done)]() {
+  awaitClosure(seedsFor(Req), [this, Done = std::move(Done)]() mutable {
     MetaReply Reply;
     Reply.Err = consumeSticky();
     localAck(std::move(Done), std::move(Reply));
@@ -590,6 +592,6 @@ void WriteBehindQueue::fsync(const MetaRequest &Req, Callback Done) {
 }
 
 void WriteBehindQueue::drainFor(const MetaRequest &Req,
-                                std::function<void()> Ready) {
+                                Scheduler::Action Ready) {
   awaitClosure(seedsFor(Req), std::move(Ready));
 }

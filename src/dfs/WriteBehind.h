@@ -41,7 +41,6 @@
 #include "dfs/Message.h"
 #include "sim/Scheduler.h"
 #include <deque>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -52,20 +51,21 @@ namespace dmb {
 
 /// Client-provided integration points for a WriteBehindQueue.
 struct WriteBehindHooks {
+  using IssueFn = InplaceFunction<void(const MetaRequest &, ReplyCallback)>;
+
   /// Deferred discipline: issues one operation over the client's normal
   /// RPC path (slot table + transact). The request's Xid is already
   /// pinned; the callback must fire exactly once with the server reply.
-  std::function<void(const MetaRequest &, std::function<void(MetaReply)>)>
-      Issue;
+  IssueFn Issue;
 
   /// Allocates a fresh transaction id from the client's Xid space
   /// (RpcClientBase::allocXid), pinned onto each op at enqueue.
-  std::function<uint64_t()> AllocXid;
+  InplaceFunction<uint64_t()> AllocXid;
 
   /// Eager discipline: applies \p Req at the server immediately and
   /// returns the true reply; the completion must fire when the server
   /// finishes (commit drained). Maps to FileServer::processEager.
-  std::function<MetaReply(const MetaRequest &, std::function<void()>)>
+  InplaceFunction<MetaReply(const MetaRequest &, Scheduler::Action)>
       ApplyEager;
 
   /// Attribute cache to shadow on enqueue (nullptr = none): a queued
@@ -78,7 +78,7 @@ struct WriteBehindHooks {
 /// (single-threaded discrete-event simulation): no locking.
 class WriteBehindQueue {
 public:
-  using Callback = std::function<void(MetaReply)>;
+  using Callback = ReplyCallback;
 
   WriteBehindQueue(Scheduler &Sched, const WriteBehindPolicy &Policy,
                    WriteBehindHooks Hooks);
@@ -108,7 +108,7 @@ public:
 
   /// Issues the dependency closure \p Req needs and runs \p Ready once it
   /// has drained. Pair with needsDrain() before a pass-through operation.
-  void drainFor(const MetaRequest &Req, std::function<void()> Ready);
+  void drainFor(const MetaRequest &Req, Scheduler::Action Ready);
 
   /// Rewrites a queue-local file handle to the server handle once the
   /// creating open has resolved (after a drainFor). Identity for server
@@ -146,7 +146,7 @@ private:
     std::vector<uint64_t> Deps;       ///< live ops this one waits for
     std::vector<uint64_t> Dependents; ///< live ops waiting for this one
     unsigned PendingDeps = 0;
-    std::vector<std::function<void()>> Waiters; ///< barrier continuations
+    std::vector<Scheduler::Action> Waiters; ///< barrier continuations
     /// The queue-local handle a creating open minted (InvalidHandle for
     /// every other op), so its completion resolves the handle directly.
     FileHandle LocalFh = InvalidHandle;
@@ -193,7 +193,7 @@ private:
   std::vector<uint64_t> seedsFor(const MetaRequest &Req) const;
   /// Schedules the closure of \p Seeds and runs \p Done when every op in
   /// it has completed.
-  void awaitClosure(std::vector<uint64_t> Seeds, std::function<void()> Done);
+  void awaitClosure(std::vector<uint64_t> Seeds, Scheduler::Action Done);
   [[nodiscard]] FsError consumeSticky();
 
   /// Queue-local handle tag: bit 62 set, clear of InvalidHandle (~0), far
@@ -221,8 +221,8 @@ private:
   uint64_t TimerEpoch = 0;   ///< invalidates stale dwell timers
   bool TimerArmed = false;
 
-  std::deque<std::function<void()>> Stalled; ///< enqueues over the cap
-  std::vector<std::function<void()>> IdleWaiters; ///< whole-queue barriers
+  std::deque<Scheduler::Action> Stalled;       ///< enqueues over the cap
+  std::vector<Scheduler::Action> IdleWaiters; ///< whole-queue barriers
 
   FsError Sticky = FsError::Ok;
   uint64_t Enqueued = 0;

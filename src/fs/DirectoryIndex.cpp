@@ -7,6 +7,7 @@
 #include "fs/DirectoryIndex.h"
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 using namespace dmb;
 
@@ -30,7 +31,7 @@ namespace {
 /// (thesis Fig. 2.4). Lookup cost is the number of entries compared.
 class LinearDirectory : public DirectoryIndex {
 public:
-  const DirEntry *lookup(const std::string &Name,
+  const DirEntry *lookup(std::string_view Name,
                          OpCost &Cost) const override {
     for (size_t I = 0, E = Entries.size(); I != E; ++I) {
       ++Cost.DirEntriesScanned;
@@ -47,7 +48,7 @@ public:
     Entries.push_back(std::move(Entry));
   }
 
-  bool erase(const std::string &Name, OpCost &Cost) override {
+  bool erase(std::string_view Name, OpCost &Cost) override {
     for (size_t I = 0, E = Entries.size(); I != E; ++I) {
       ++Cost.DirEntriesScanned;
       if (Entries[I].Name == Name) {
@@ -74,7 +75,7 @@ private:
 /// number of probed entries.
 class HashedDirectory : public DirectoryIndex {
 public:
-  const DirEntry *lookup(const std::string &Name,
+  const DirEntry *lookup(std::string_view Name,
                          OpCost &Cost) const override {
     ++Cost.DirEntriesScanned;
     auto It = Map.find(Name);
@@ -90,10 +91,12 @@ public:
     Map.emplace(std::move(Name), std::move(Entry));
   }
 
-  bool erase(const std::string &Name, OpCost &Cost) override {
+  bool erase(std::string_view Name, OpCost &Cost) override {
     ++Cost.DirEntriesScanned;
-    if (Map.erase(Name) == 0)
+    auto It = Map.find(Name);
+    if (It == Map.end())
       return false;
+    Map.erase(It);
     ++Cost.DirEntriesWritten;
     return true;
   }
@@ -114,13 +117,21 @@ public:
   size_t size() const override { return Map.size(); }
 
 private:
-  std::unordered_map<std::string, DirEntry> Map;
+  /// Transparent hash and equality: lookups take a string_view without
+  /// building a key. The hash equals std::hash<std::string>'s.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view Name) const {
+      return std::hash<std::string_view>()(Name);
+    }
+  };
+  std::unordered_map<std::string, DirEntry, NameHash, std::equal_to<>> Map;
 };
 
 /// XFS/ext3-style tree directory: O(log n) lookups.
 class BTreeDirectory : public DirectoryIndex {
 public:
-  const DirEntry *lookup(const std::string &Name,
+  const DirEntry *lookup(std::string_view Name,
                          OpCost &Cost) const override {
     Cost.DirEntriesScanned += logCost();
     auto It = Map.find(Name);
@@ -136,10 +147,12 @@ public:
     Map.emplace(std::move(Name), std::move(Entry));
   }
 
-  bool erase(const std::string &Name, OpCost &Cost) override {
+  bool erase(std::string_view Name, OpCost &Cost) override {
     Cost.DirEntriesScanned += logCost();
-    if (Map.erase(Name) == 0)
+    auto It = Map.find(Name);
+    if (It == Map.end())
       return false;
+    Map.erase(It);
     ++Cost.DirEntriesWritten;
     return true;
   }
@@ -160,7 +173,7 @@ private:
     return static_cast<uint64_t>(std::ceil(std::log2(double(N)))) + 1;
   }
 
-  std::map<std::string, DirEntry> Map;
+  std::map<std::string, DirEntry, std::less<>> Map;
 };
 
 } // namespace

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -43,8 +44,9 @@ class DirectoryIndex {
 public:
   virtual ~DirectoryIndex();
 
-  /// Looks up \p Name; returns the entry or nullptr.
-  virtual const DirEntry *lookup(const std::string &Name,
+  /// Looks up \p Name; returns the entry or nullptr. Takes a view, so a
+  /// path walk probes with the component in place.
+  virtual const DirEntry *lookup(std::string_view Name,
                                  OpCost &Cost) const = 0;
 
   /// Inserts an entry. Precondition: no entry with the same name exists
@@ -52,7 +54,7 @@ public:
   virtual void insert(DirEntry Entry, OpCost &Cost) = 0;
 
   /// Erases \p Name. Returns false when absent.
-  virtual bool erase(const std::string &Name, OpCost &Cost) = 0;
+  virtual bool erase(std::string_view Name, OpCost &Cost) = 0;
 
   /// Appends all entries to \p Out in iteration order.
   virtual void list(std::vector<DirEntry> &Out, OpCost &Cost) const = 0;

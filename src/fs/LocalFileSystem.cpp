@@ -53,7 +53,7 @@ LocalFileSystem::Inode *LocalFileSystem::getInode(InodeNum Ino) {
 }
 
 const DirEntry *LocalFileSystem::dirLookup(Inode &Dir,
-                                           const std::string &Name,
+                                           std::string_view Name,
                                            OpCost &Cost) const {
   DMB_ASSERT(Dir.Dir, "dirLookup on non-directory");
   return Dir.Dir->lookup(Name, Cost);
@@ -85,14 +85,29 @@ bool LocalFileSystem::checkAccess(const Cred &C, const Inode &Node,
   return (Node.A.Mode >> Shift) & Bit;
 }
 
-FsError LocalFileSystem::checkName(const std::string &Name) const {
+FsError LocalFileSystem::checkName(std::string_view Name) const {
   if (Name.empty())
     return FsError::Invalid;
   if (Name.size() > Config.NameMax)
     return FsError::NameTooLong;
-  if (Name.find('/') != std::string::npos)
+  if (Name.find('/') != std::string_view::npos)
     return FsError::Invalid;
   return FsError::Ok;
+}
+
+/// Pops the next component off \p Rest ("" once none is left); repeated
+/// slashes separate like one.
+static std::string_view nextComponent(std::string_view &Rest) {
+  size_t Begin = Rest.find_first_not_of('/');
+  if (Begin == std::string_view::npos) {
+    Rest = {};
+    return {};
+  }
+  size_t End = Rest.find('/', Begin);
+  std::string_view Name = Rest.substr(Begin, End - Begin);
+  Rest = End == std::string_view::npos ? std::string_view()
+                                       : Rest.substr(End);
+  return Name;
 }
 
 auto LocalFileSystem::resolve(OpCtx &Ctx, const std::string &Path,
@@ -100,22 +115,28 @@ auto LocalFileSystem::resolve(OpCtx &Ctx, const std::string &Path,
   if (Path.empty() || Path[0] != '/')
     return FsError::Invalid;
 
-  std::deque<std::string> Work;
-  for (std::string &C : split(Path, '/'))
-    if (!C.empty())
-      Work.push_back(std::move(C));
+  // The walk reads components in place: views into Path, or into the
+  // spilled remaining path once a symlink has been followed.
+  Resolved Out;
+  auto Finish = [&Out](InodeNum Parent, std::string_view Leaf,
+                       InodeNum Target) -> Result<Resolved> {
+    Out.Parent = Parent;
+    Out.Leaf = Leaf;
+    Out.Target = Target;
+    return std::move(Out);
+  };
+  std::string_view Rest = Path;
+  std::string_view Name = nextComponent(Rest);
 
   // The root itself: its own parent, empty leaf.
-  if (Work.empty())
-    return Resolved{RootIno, std::string(), RootIno};
+  if (Name.empty())
+    return Finish(RootIno, {}, RootIno);
 
   InodeNum Cur = RootIno;
   int SymlinkDepth = 0;
 
-  while (!Work.empty()) {
-    std::string Name = std::move(Work.front());
-    Work.pop_front();
-    bool IsLast = Work.empty();
+  for (;;) {
+    bool IsLast = Rest.find_first_not_of('/') == std::string_view::npos;
 
     Inode *CurNode = getInode(Cur);
     DMB_ASSERT(CurNode, "dangling directory inode");
@@ -129,14 +150,16 @@ auto LocalFileSystem::resolve(OpCtx &Ctx, const std::string &Path,
 
     if (Name == ".") {
       if (IsLast)
-        return Resolved{CurNode->Parent, Name, Cur};
+        return Finish(CurNode->Parent, Name, Cur);
+      Name = nextComponent(Rest);
       continue;
     }
     if (Name == "..") {
       InodeNum Parent = CurNode->Parent;
       if (IsLast)
-        return Resolved{getInode(Parent)->Parent, Name, Parent};
+        return Finish(getInode(Parent)->Parent, Name, Parent);
       Cur = Parent;
+      Name = nextComponent(Rest);
       continue;
     }
     if (Name.size() > Config.NameMax)
@@ -145,7 +168,7 @@ auto LocalFileSystem::resolve(OpCtx &Ctx, const std::string &Path,
     const DirEntry *Entry = dirLookup(*CurNode, Name, Ctx.Cost);
     if (!Entry) {
       if (IsLast)
-        return Resolved{Cur, std::move(Name), 0};
+        return Finish(Cur, Name, 0);
       return FsError::NoEnt;
     }
 
@@ -156,26 +179,31 @@ auto LocalFileSystem::resolve(OpCtx &Ctx, const std::string &Path,
       if (++SymlinkDepth > Config.MaxSymlinkDepth)
         return FsError::Loop;
       ++Ctx.Cost.SymlinksFollowed;
-      std::vector<std::string> Target = split(Found->LinkTarget, '/');
-      // Splice target components in front of the remaining work.
-      for (auto It = Target.rbegin(), E = Target.rend(); It != E; ++It)
-        if (!It->empty())
-          Work.push_front(std::move(*It));
-      if (!Found->LinkTarget.empty() && Found->LinkTarget[0] == '/')
+      // The target's components go in front of the remaining ones: the
+      // one place the walk builds a string.
+      const std::string &Target = Found->LinkTarget;
+      auto Spill = std::make_unique<std::string>();
+      Spill->reserve(Target.size() + 1 + Rest.size());
+      Spill->append(Target).push_back('/');
+      Spill->append(Rest);
+      Out.Spill = std::move(Spill);
+      Rest = *Out.Spill;
+      if (!Target.empty() && Target[0] == '/')
         Cur = RootIno;
-      if (Work.empty()) {
+      Name = nextComponent(Rest);
+      if (Name.empty()) {
         // Symlink to "/" (or an all-empty target): resolves to Cur itself.
         Inode *Node = getInode(Cur);
-        return Resolved{Node->Parent, std::string(), Cur};
+        return Finish(Node->Parent, {}, Cur);
       }
       continue;
     }
 
     if (IsLast)
-      return Resolved{Cur, std::move(Name), Entry->Ino};
+      return Finish(Cur, Name, Entry->Ino);
     Cur = Entry->Ino;
+    Name = nextComponent(Rest);
   }
-  return FsError::NoEnt; // Unreachable; loop always returns on last.
 }
 
 Result<InodeNum> LocalFileSystem::resolveExisting(OpCtx &Ctx,
@@ -273,8 +301,9 @@ FsError LocalFileSystem::mkdir(OpCtx &Ctx, const std::string &Path,
   Node->A.Nlink = 2; // "." plus the entry in the parent.
   Node->Parent = Parent->A.Ino;
 
-  Parent->Dir->insert(DirEntry{R->Leaf, Node->A.Ino, FileType::Directory},
-                      Ctx.Cost);
+  Parent->Dir->insert(
+      DirEntry{std::string(R->Leaf), Node->A.Ino, FileType::Directory},
+      Ctx.Cost);
   ++Parent->A.Nlink; // The child's "..".
   Parent->A.Mtime = Parent->A.Ctime = Ctx.Now;
   ++Ctx.Cost.InodesTouched;
@@ -411,8 +440,9 @@ FsError LocalFileSystem::rename(OpCtx &Ctx, const std::string &From,
   }
 
   SrcParent->Dir->erase(Src->Leaf, Ctx.Cost);
-  DstParent->Dir->insert(DirEntry{Dst->Leaf, Src->Target, SrcNode->A.Type},
-                         Ctx.Cost);
+  DstParent->Dir->insert(
+      DirEntry{std::string(Dst->Leaf), Src->Target, SrcNode->A.Type},
+      Ctx.Cost);
   if (SrcIsDir && Src->Parent != Dst->Parent) {
     --SrcParent->A.Nlink;
     ++DstParent->A.Nlink;
@@ -448,7 +478,8 @@ FsError LocalFileSystem::link(OpCtx &Ctx, const std::string &Existing,
   if (!checkAccess(Ctx.Creds, *Parent, Access::Write))
     return FsError::Access;
 
-  Parent->Dir->insert(DirEntry{Dst->Leaf, *Src, SrcNode->A.Type}, Ctx.Cost);
+  Parent->Dir->insert(DirEntry{std::string(Dst->Leaf), *Src, SrcNode->A.Type},
+                      Ctx.Cost);
   ++SrcNode->A.Nlink;
   SrcNode->A.Ctime = Ctx.Now;
   Parent->A.Mtime = Parent->A.Ctime = Ctx.Now;
@@ -477,8 +508,9 @@ FsError LocalFileSystem::symlink(OpCtx &Ctx, const std::string &Target,
   Node->A.Size = Target.size();
   Node->A.Nlink = 1;
 
-  Parent->Dir->insert(DirEntry{Dst->Leaf, Node->A.Ino, FileType::Symlink},
-                      Ctx.Cost);
+  Parent->Dir->insert(
+      DirEntry{std::string(Dst->Leaf), Node->A.Ino, FileType::Symlink},
+      Ctx.Cost);
   Parent->A.Mtime = Parent->A.Ctime = Ctx.Now;
   return FsError::Ok;
 }
@@ -672,8 +704,9 @@ Result<FileHandle> LocalFileSystem::open(OpCtx &Ctx, const std::string &Path,
     if (!Node)
       return FsError::NoSpace;
     Node->A.Nlink = 1;
-    Parent->Dir->insert(DirEntry{R->Leaf, Node->A.Ino, FileType::Regular},
-                        Ctx.Cost);
+    Parent->Dir->insert(
+        DirEntry{std::string(R->Leaf), Node->A.Ino, FileType::Regular},
+        Ctx.Cost);
     Parent->A.Mtime = Parent->A.Ctime = Ctx.Now;
     Target = Node->A.Ino;
   } else {

@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -153,12 +154,18 @@ private:
   };
   struct Resolved {
     InodeNum Parent = 0;      ///< directory containing the leaf
-    std::string Leaf;         ///< final path component ("" for root)
+    /// Final path component ("" for root): a view into the walked path,
+    /// or into Spill when a symlink was followed.
+    std::string_view Leaf;
     InodeNum Target = 0;      ///< inode of the leaf, 0 when absent
+    /// The remaining path after the last followed symlink. Boxed, so Leaf
+    /// survives moves of the Resolved (a short string's inline buffer
+    /// would move with it).
+    std::unique_ptr<std::string> Spill;
   };
 
   Inode *getInode(InodeNum Ino);
-  const DirEntry *dirLookup(Inode &Dir, const std::string &Name,
+  const DirEntry *dirLookup(Inode &Dir, std::string_view Name,
                             OpCost &Cost) const;
   bool checkAccess(const Cred &C, const Inode &Node, Access Want) const;
   /// Core path walk with symlink handling. When \p FollowLast is false the
@@ -175,7 +182,7 @@ private:
   /// Adjusts block accounting when a file's size changes. Returns false if
   /// the allocation would exceed MaxBlocks.
   bool reallocate(OpCtx &Ctx, Inode &Node, uint64_t NewSize);
-  [[nodiscard]] FsError checkName(const std::string &Name) const;
+  [[nodiscard]] FsError checkName(std::string_view Name) const;
 
   FsConfig Config;
   std::unordered_map<InodeNum, std::unique_ptr<Inode>> Inodes;

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// A small-buffer-optimized, move-only callable wrapper: the storage type
-/// of every scheduled event (Scheduler::Action). std::function's inline
+/// of every scheduled event (Scheduler::Action) and of every reply
+/// callback (ReplyCallback, dfs/Message.h). std::function's inline
 /// buffer (16 bytes in libstdc++) is too small for a typical simulation
 /// event capture (an object pointer, a trace id and a couple of values),
 /// so the default scheduler heap-allocated nearly every event. With 64
@@ -83,7 +84,9 @@ public:
 
   ~InplaceFunction() { reset(); }
 
-  R operator()(Args... A) {
+  /// Const like std::function's: a callback held by a non-mutable lambda
+  /// stays callable. The target itself may mutate its state.
+  R operator()(Args... A) const {
     DMB_ASSERT(VT, "calling an empty InplaceFunction");
     return VT->Call(Buf, std::forward<Args>(A)...);
   }
@@ -146,7 +149,7 @@ private:
   }
 
   const VTable *VT = nullptr;
-  alignas(std::max_align_t) unsigned char Buf[Capacity];
+  alignas(std::max_align_t) mutable unsigned char Buf[Capacity];
 };
 
 } // namespace dmb

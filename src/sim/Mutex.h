@@ -26,7 +26,6 @@
 #include "sim/Scheduler.h"
 #include "support/Assert.h"
 #include <deque>
-#include <functional>
 #include <string>
 
 namespace dmb {
@@ -53,7 +52,7 @@ public:
   }
 
   /// Requests the lock; \p Acquired runs (as a scheduled event) when held.
-  void lock(std::function<void()> Acquired) {
+  void lock(Scheduler::Action Acquired) {
     uint64_t Ctx = Sched.activeTrace();
     if (LockOrderGraph *G = Sched.lockOrder())
       G->onRequest(this, "SimMutex " + Name, Ctx, Sched.now());
@@ -108,7 +107,7 @@ private:
   }
 
   struct Waiter {
-    std::function<void()> Acquired;
+    Scheduler::Action Acquired;
     uint64_t Trace = 0; ///< trace id of the waiting operation
   };
 

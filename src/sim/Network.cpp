@@ -60,7 +60,7 @@ NetworkLink::Delivery NetworkLink::plan(uint64_t NumBytes) {
   return D;
 }
 
-void NetworkLink::send(uint64_t NumBytes, std::function<void()> Deliver) {
+void NetworkLink::send(uint64_t NumBytes, Scheduler::Action Deliver) {
   Delivery D = plan(NumBytes);
   if (D.Dropped)
     return; // lost on the wire; Deliver is destroyed unrun

@@ -25,7 +25,6 @@
 #include "sim/Time.h"
 #include "support/Random.h"
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace dmb {
@@ -106,7 +105,7 @@ public:
   /// Delivers a message of \p Bytes after latency + serialization time
   /// (plus any fault-policy jitter). A dropped message destroys \p Deliver
   /// without running it.
-  void send(uint64_t Bytes, std::function<void()> Deliver);
+  void send(uint64_t Bytes, Scheduler::Action Deliver);
 
   /// Transfer duration without accounting or delivering (composition
   /// helper; pair with plan() so the traffic counters stay correct).

@@ -53,7 +53,15 @@ void Resource::startService(Pending P) {
   if (Actual < 0)
     Actual = 0;
   BusyTime += Actual;
-  Completion Done = std::move(P.Done);
+  uint32_t Server;
+  if (IdleSlots.empty()) {
+    Server = static_cast<uint32_t>(InService.size());
+    InService.push_back(std::move(P.Done));
+  } else {
+    Server = IdleSlots.back();
+    IdleSlots.pop_back();
+    InService[Server] = std::move(P.Done);
+  }
   Sched.traceStampOn(P.Trace, TracePoint::ServiceStart);
   if (LockOrderGraph *G = Sched.lockOrder())
     G->onGranted(this, P.Trace);
@@ -61,14 +69,20 @@ void Resource::startService(Pending P) {
   // The completion event belongs to the serviced operation, not to
   // whichever operation's completion freed this server.
   uint64_t Prev = Sched.swapActiveTrace(P.Trace);
-  Sched.after(Actual, [this, Trace = P.Trace, Done = std::move(Done)]() {
-    Sched.traceStampOn(Trace, TracePoint::ServiceEnd);
-    if (LockOrderGraph *G = Sched.lockOrder())
-      G->onReleased(this, Trace);
-    finishOne(Trace);
-    Done();
+  Sched.after(Actual, [this, Server, Trace = P.Trace]() {
+    onServiceEnd(Server, Trace);
   });
   Sched.swapActiveTrace(Prev);
+}
+
+void Resource::onServiceEnd(uint32_t Server, uint64_t Trace) {
+  Completion Done = std::move(InService[Server]);
+  IdleSlots.push_back(Server);
+  Sched.traceStampOn(Trace, TracePoint::ServiceEnd);
+  if (LockOrderGraph *G = Sched.lockOrder())
+    G->onReleased(this, Trace);
+  finishOne(Trace);
+  Done();
 }
 
 void Resource::finishOne(uint64_t FinishedTrace) {

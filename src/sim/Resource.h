@@ -18,7 +18,6 @@
 #include "sim/Time.h"
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,7 +31,7 @@ namespace dmb {
 /// consistency-point flushes).
 class Resource {
 public:
-  using Completion = std::function<void()>;
+  using Completion = Scheduler::Action;
 
   /// One queue-state transition, recorded when metrics are enabled: the
   /// piecewise-constant (queue length, busy servers) state from \p When
@@ -81,6 +80,8 @@ private:
   };
 
   void startService(Pending P);
+  /// Fires when the request on server \p Server finishes.
+  void onServiceEnd(uint32_t Server, uint64_t Trace);
   void finishOne(uint64_t FinishedTrace);
   void report(SimDiagnostics &D) const;
   void sampleState();
@@ -94,6 +95,11 @@ private:
   uint64_t Completed = 0;
   SimDuration BusyTime = 0;
   std::deque<Pending> Waiting;
+  /// Completions of the requests in service, one slot per busy server, so
+  /// the service-end event captures a slot index instead of the (possibly
+  /// boxed) completion. Bounded by NumServers.
+  std::vector<Completion> InService;
+  std::vector<uint32_t> IdleSlots;
   bool Metrics = false;
   std::vector<MetricsSample> Samples;
 };

@@ -9,7 +9,6 @@
 #include "sim/LockOrder.h"
 #include "sim/Trace.h"
 #include "support/Assert.h"
-#include <algorithm>
 
 using namespace dmb;
 
@@ -172,16 +171,45 @@ void Scheduler::enableHappensBeforeTracking() {
 }
 
 uint64_t Scheduler::addQuiescenceCheck(QuiescenceCheck Fn) {
-  uint64_t Id = NextCheckId++;
-  QuiescenceChecks.emplace_back(Id, std::move(Fn));
-  return Id;
+  uint32_t Slot;
+  if (!FreeChecks.empty()) {
+    Slot = FreeChecks.back();
+    FreeChecks.pop_back();
+  } else {
+    Slot = static_cast<uint32_t>(Checks.size());
+    Checks.emplace_back();
+  }
+  CheckSlot &C = Checks[Slot];
+  C.Fn = std::move(Fn);
+  C.Prev = LastCheck;
+  C.Next = EventId::NoSlot;
+  if (LastCheck == EventId::NoSlot)
+    FirstCheck = Slot;
+  else
+    Checks[LastCheck].Next = Slot;
+  LastCheck = Slot;
+  ++LiveChecks;
+  return (uint64_t(C.Gen) << 32) | Slot;
 }
 
 void Scheduler::removeQuiescenceCheck(uint64_t Id) {
-  QuiescenceChecks.erase(
-      std::remove_if(QuiescenceChecks.begin(), QuiescenceChecks.end(),
-                     [Id](const auto &Entry) { return Entry.first == Id; }),
-      QuiescenceChecks.end());
+  uint32_t Slot = static_cast<uint32_t>(Id);
+  if (Slot >= Checks.size() || Checks[Slot].Gen != uint32_t(Id >> 32) ||
+      !Checks[Slot].Fn)
+    return;
+  CheckSlot &C = Checks[Slot];
+  if (C.Prev == EventId::NoSlot)
+    FirstCheck = C.Next;
+  else
+    Checks[C.Prev].Next = C.Next;
+  if (C.Next == EventId::NoSlot)
+    LastCheck = C.Prev;
+  else
+    Checks[C.Next].Prev = C.Prev;
+  C.Fn = nullptr;
+  ++C.Gen;
+  FreeChecks.push_back(Slot);
+  --LiveChecks;
 }
 
 SimDiagnostics Scheduler::checkQuiescent() const {
@@ -189,7 +217,8 @@ SimDiagnostics Scheduler::checkQuiescent() const {
   Diag.AtTime = Now;
   Diag.EventsExecuted = Executed;
   Diag.PendingEvents = pendingEvents();
-  for (const auto &Entry : QuiescenceChecks)
-    Entry.second(Diag);
+  for (uint32_t Slot = FirstCheck; Slot != EventId::NoSlot;
+       Slot = Checks[Slot].Next)
+    Checks[Slot].Fn(Diag);
   return Diag;
 }

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -99,7 +100,10 @@ public:
     DMB_ASSERT(When.Value >= Now, "cannot schedule into the past");
     uint32_t Slot = acquireSlot();
     Pool[Slot].Trace = ActiveTrace;
-    Pool[Slot].Fn.emplace(std::forward<F>(Fn));
+    if constexpr (std::is_same_v<std::decay_t<F>, Action>)
+      Pool[Slot].Fn = std::move(Fn); // already an Action: relocate it
+    else
+      Pool[Slot].Fn.emplace(std::forward<F>(Fn));
     uint64_t Seq = NextSeq++;
     uint64_t Tie = PerturbSeed ? mixTieKey(PerturbSeed, Seq) : Seq;
     Queue.push(EventQueueEntry{eventOrderKey(When.Value, Tie), Seq, Slot,
@@ -151,8 +155,13 @@ public:
   /// removeQuiescenceCheck(). Checks run in registration order.
   uint64_t addQuiescenceCheck(QuiescenceCheck Fn);
 
-  /// Unregisters a check (primitives do this on destruction).
+  /// Unregisters a check (primitives do this on destruction) in O(1):
+  /// the handle names a slot and its generation, like EventId. Stale or
+  /// unknown handles are ignored.
   void removeQuiescenceCheck(uint64_t Id);
+
+  /// Number of registered quiescence checks.
+  size_t quiescenceCheckCount() const { return LiveChecks; }
 
   /// Runs every registered check and returns the collected report. Never
   /// aborts: a locked mutex at quiescence is legal mid-scenario (tests
@@ -305,8 +314,22 @@ private:
   size_t Tombstones = 0;   ///< cancelled entries still inside Queue
   std::vector<Event> Pool; ///< payload slots addressed by queue entries
   std::vector<uint32_t> FreeSlots;
-  uint64_t NextCheckId = 0;
-  std::vector<std::pair<uint64_t, QuiescenceCheck>> QuiescenceChecks;
+  /// Quiescence checks live in recycled slots threaded on a doubly linked
+  /// list in registration order, so removal is O(1) (a million-node
+  /// teardown removes every check) while checkQuiescent() still runs them
+  /// oldest first. Gen counts removals from the slot and makes handles
+  /// single-use.
+  struct CheckSlot {
+    QuiescenceCheck Fn;
+    uint32_t Gen = 0;
+    uint32_t Prev = EventId::NoSlot;
+    uint32_t Next = EventId::NoSlot;
+  };
+  std::vector<CheckSlot> Checks;
+  std::vector<uint32_t> FreeChecks;
+  uint32_t FirstCheck = EventId::NoSlot;
+  uint32_t LastCheck = EventId::NoSlot;
+  size_t LiveChecks = 0;
   SimDiagnostics LastDiag;
   uint64_t PerturbSeed = 0;
   bool Journal = false;

@@ -70,20 +70,31 @@ void SharedProcessor::onTimer(uint64_t Gen) {
   if (Gen != Generation)
     return;
   advance();
-  // Collect finished tasks first: their completions may resubmit.
+  // Collect finished tasks first: their completions may resubmit. One
+  // buffer serves every processor (the simulation is single-threaded); it
+  // is borrowed for the duration, so a completion that re-entered here
+  // would get a fresh one instead of a clobbered one.
+  thread_local std::vector<std::pair<Completion, uint64_t>> FinishedBuf;
   std::vector<std::pair<Completion, uint64_t>> Finished;
-  for (auto It = Tasks.begin(); It != Tasks.end();) {
-    if (It->RemainingCoreSec <= WorkEpsilon) {
-      TotalWeight -= It->Weight;
-      Finished.emplace_back(std::move(It->Done), It->Trace);
-      It = Tasks.erase(It);
+  Finished.swap(FinishedBuf);
+  size_t Kept = 0;
+  for (Task &T : Tasks) {
+    if (T.RemainingCoreSec <= WorkEpsilon) {
+      TotalWeight -= T.Weight;
+      Finished.emplace_back(std::move(T.Done), T.Trace);
       ++Completed;
     } else {
-      ++It;
+      if (&Tasks[Kept] != &T)
+        Tasks[Kept] = std::move(T);
+      ++Kept;
     }
   }
-  if (Tasks.empty())
+  Tasks.erase(Tasks.begin() + static_cast<ptrdiff_t>(Kept), Tasks.end());
+  if (Tasks.empty()) {
     TotalWeight = 0;
+    if (Tasks.capacity() > RetainedTasks)
+      std::vector<Task>().swap(Tasks);
+  }
   scheduleNext();
   // One timer event may complete several tasks belonging to different
   // operations: run each completion in its own trace context.
@@ -94,6 +105,8 @@ void SharedProcessor::onTimer(uint64_t Gen) {
     Done();
     Sched.swapActiveTrace(Prev);
   }
+  Finished.clear();
+  FinishedBuf.swap(Finished);
 }
 
 void SharedProcessor::submit(SimDuration Work, double Weight,

@@ -19,8 +19,8 @@
 #include "sim/Scheduler.h"
 #include "sim/Time.h"
 #include <cstdint>
-#include <functional>
-#include <list>
+#include <utility>
+#include <vector>
 
 namespace dmb {
 
@@ -32,7 +32,7 @@ namespace dmb {
 /// a single task never runs faster than one core.
 class SharedProcessor {
 public:
-  using Completion = std::function<void()>;
+  using Completion = Scheduler::Action;
 
   SharedProcessor(Scheduler &Sched, unsigned NumCores);
   ~SharedProcessor();
@@ -76,7 +76,15 @@ private:
   Scheduler &Sched;
   uint64_t CheckId = 0;
   unsigned NumCores;
-  std::list<Task> Tasks;
+  /// Active tasks in submission order. Finished tasks are compacted out
+  /// in place, so the order (and with it every floating-point sum) is the
+  /// same as the node-per-task list this replaced. Going idle keeps a
+  /// buffer of up to RetainedTasks (a node's usual burst, so steady
+  /// operation allocates nothing) and releases anything bigger — a
+  /// million-client run has one processor per node, and idle ones must not
+  /// pin their busiest moment.
+  std::vector<Task> Tasks;
+  static constexpr size_t RetainedTasks = 4;
   double TotalWeight = 0;
   SimTime LastAdvance = 0;
   uint64_t Generation = 0;

@@ -229,6 +229,30 @@ TEST(AnalyzeRules, AddressOfInitCaptureInInplaceFunctionIsCaught) {
   EXPECT_EQ("callback-lifetime", Fs[0].Rule);
 }
 
+TEST(AnalyzeRules, ByRefCaptureStoredInReplyCallbackAliasIsCaught) {
+  // The reply callback is an InplaceFunction behind aliases declared in
+  // another file; a named by-reference capture stored into one is as
+  // dangerous as into a spelled-out InplaceFunction.
+  std::vector<Finding> Fs = analyzeSources(
+      {{"src/dfs/Message.h",
+        "using ReplyCallback = InplaceFunction<void(MetaReply &&)>;\n"},
+       {"src/dfs/Client.h", "struct Client {\n"
+                            "  using Callback = ReplyCallback;\n"
+                            "};\n"},
+       {"src/dfs/Client.cpp",
+        "struct Pending {\n"
+        "  Callback Done;\n"
+        "  void arm(int &Acks) {\n"
+        "    Done = [&Acks](MetaReply &&R) { Acks += R.ok(); };\n"
+        "  }\n"
+        "};\n"}});
+  ASSERT_EQ(1u, Fs.size());
+  EXPECT_EQ("src/dfs/Client.cpp", Fs[0].File);
+  EXPECT_EQ(4, Fs[0].Line);
+  EXPECT_EQ("callback-lifetime", Fs[0].Rule);
+  EXPECT_NE(std::string::npos, Fs[0].Message.find("&Acks"));
+}
+
 TEST(AnalyzeRules, ValueAndThisCapturesAreFine) {
   EXPECT_TRUE(analyzeSources(
                   {{"src/sim/Retry.cpp",
@@ -616,6 +640,48 @@ TEST(AnalyzeRules, ExaminedOrForwardedCompletionReplyIsFine) {
                     "}\n"
                     "void d(Visitor &V, MetaRequest Op) {\n"
                     "  V.visit(Op, [](MetaReply R) {});\n"
+                    "}\n"}})
+                  .empty());
+}
+
+TEST(AnalyzeRules, IgnoredRvalueReplyIsCaught) {
+  // The move-only reply callback takes (MetaReply &&R); naming the
+  // reference and ignoring it swallows the error just the same, on the
+  // submit path and on the RPC layer's local-failure path alike.
+  std::vector<Finding> Fs = analyzeSources(
+      {{"src/dfs/Q.cpp",
+        "void touch(ClientFs &C, MetaRequest Op) {\n"
+        "  C.submit(Op, [](MetaReply &&R) {\n"
+        "    ++Acked;\n"
+        "  });\n"
+        "}\n"
+        "void Client::reject(FsError E) {\n"
+        "  failLocally(E, [this](MetaReply &&Reply) mutable { ++Acked; });\n"
+        "}\n"}});
+  ASSERT_EQ(2u, Fs.size());
+  EXPECT_EQ(2, Fs[0].Line);
+  EXPECT_EQ("swallowed-completion-error", Fs[0].Rule);
+  EXPECT_NE(std::string::npos, Fs[0].Message.find("'R'"));
+  EXPECT_EQ(7, Fs[1].Line);
+  EXPECT_NE(std::string::npos, Fs[1].Message.find("failLocally"));
+}
+
+TEST(AnalyzeRules, ExaminedOrForwardedRvalueReplyIsFine) {
+  EXPECT_TRUE(analyzeSources(
+                  {{"src/dfs/Q.cpp",
+                    "void a(ClientFs &C, MetaRequest Op) {\n"
+                    "  C.submit(Op, [](MetaReply &&R) {\n"
+                    "    if (!R.ok()) note(R.Err);\n"
+                    "  });\n"
+                    "}\n"
+                    "void b(ClientFs &C, MetaRequest Op, Callback Done) {\n"
+                    "  C.submit(Op, [Done = std::move(Done)](MetaReply &&R) "
+                    "mutable {\n"
+                    "    Done(std::move(R));\n"
+                    "  });\n"
+                    "}\n"
+                    "void Client::reject(FsError E) {\n"
+                    "  failLocally(E, [this](MetaReply &&) { ++Acked; });\n"
                     "}\n"}})
                   .empty());
 }

@@ -11,6 +11,7 @@
 #include "sim/Scheduler.h"
 #include "sim/SharedProcessor.h"
 #include "sim/Time.h"
+#include "support/Random.h"
 #include <algorithm>
 #include <functional>
 #include <gtest/gtest.h>
@@ -364,6 +365,60 @@ TEST(Scheduler, QuiescenceReportsHeldMutexAndStrandedWaiters) {
   S.run();
   M.unlock();
   EXPECT_TRUE(S.checkQuiescent().clean());
+}
+
+TEST(Scheduler, QuiescenceChecksRemovedInRandomOrderKeepRegistrationOrder) {
+  // Teardown of a large cluster removes every primitive's check; removal
+  // is O(1) by slot and generation, and the survivors still run oldest
+  // first, including checks registered into recycled slots.
+  Scheduler S;
+  constexpr int N = 100000;
+  std::vector<int> Ran;
+  std::vector<uint64_t> Ids;
+  for (int I = 0; I < N; ++I)
+    Ids.push_back(S.addQuiescenceCheck(
+        [&Ran, I](SimDiagnostics &) { Ran.push_back(I); }));
+  std::vector<int> Order(N);
+  for (int I = 0; I < N; ++I)
+    Order[I] = I;
+  Rng R(20261017);
+  for (int I = N - 1; I > 0; --I)
+    std::swap(Order[I], Order[R.below(static_cast<uint64_t>(I) + 1)]);
+  // Remove two thirds, in shuffled order; the rest survive.
+  std::vector<bool> Removed(N, false);
+  for (int K = 0; K < 2 * N / 3; ++K) {
+    S.removeQuiescenceCheck(Ids[Order[K]]);
+    Removed[Order[K]] = true;
+  }
+  // A stale handle is ignored, even once its slot has been recycled (the
+  // last slot freed is the first reused).
+  uint64_t Stale = Ids[Order[2 * N / 3 - 1]];
+  const int Late = N;
+  S.addQuiescenceCheck([&Ran, Late](SimDiagnostics &) { Ran.push_back(Late); });
+  S.addQuiescenceCheck(
+      [&Ran, Late](SimDiagnostics &) { Ran.push_back(Late + 1); });
+  S.removeQuiescenceCheck(Stale);
+  S.removeQuiescenceCheck(Stale);
+
+  std::vector<int> Expected;
+  for (int I = 0; I < N; ++I)
+    if (!Removed[I])
+      Expected.push_back(I);
+  Expected.push_back(N);
+  Expected.push_back(N + 1);
+  EXPECT_EQ(Expected.size(), S.quiescenceCheckCount());
+  (void)S.checkQuiescent();
+  EXPECT_EQ(N - 2 * N / 3 + 2, static_cast<int>(Ran.size()));
+  EXPECT_EQ(Expected, Ran);
+
+  // Draining every check leaves an empty, reusable registry.
+  for (int I = 0; I < N; ++I)
+    if (!Removed[I])
+      S.removeQuiescenceCheck(Ids[I]);
+  EXPECT_EQ(2u, S.quiescenceCheckCount());
+  Ran.clear();
+  (void)S.checkQuiescent();
+  EXPECT_EQ((std::vector<int>{N, N + 1}), Ran);
 }
 
 TEST(Resource, QuiescenceReportsInFlightWork) {

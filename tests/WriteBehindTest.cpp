@@ -392,8 +392,7 @@ struct FakeWire {
   WriteBehindHooks hooks() {
     WriteBehindHooks H;
     H.AllocXid = [this]() { return ++LastXid; };
-    H.Issue = [this](const MetaRequest &Req,
-                     std::function<void(MetaReply)> Done) {
+    H.Issue = [this](const MetaRequest &Req, ReplyCallback Done) {
       Wire.push_back(Req);
       MetaReply Reply;
       if (Req.Op == MetaOp::Open) {

@@ -97,6 +97,7 @@ public:
     CG.build(ST, Files);
     indexDefinitions();
     harvestWrapperFunctions();
+    harvestInplaceAliases();
     buildTaintSummaries();
     // Container declarations are tracked per file first, so a .cpp can
     // inherit the members its own header declares (fsck iterating the
@@ -195,8 +196,42 @@ private:
     }
   };
 
+  /// Collects the tree's using-aliases of InplaceFunction, through alias
+  /// chains across files (ReplyCallback, Scheduler::Action and the
+  /// per-class Callback/Completion names), so a callback declared through
+  /// an alias is tracked like one spelled InplaceFunction<...>.
+  void harvestInplaceAliases() {
+    std::map<std::string, std::string> HeadOf; // alias -> its type's name
+    for (const SourceFile &F : Files) {
+      const std::vector<Token> &T = F.Toks.Tokens;
+      for (size_t I = 0; I + 3 < T.size(); ++I) {
+        if (!isIdent(T[I], "using") || T[I + 1].Kind != TokKind::Ident ||
+            !isPunct(T[I + 2], "="))
+          continue;
+        // The aliased type's own name: the last identifier before its
+        // template arguments (Scheduler::Action -> Action).
+        std::string Head;
+        for (size_t J = I + 3;
+             J < T.size() && !isPunct(T[J], ";") && !isPunct(T[J], "<"); ++J)
+          if (T[J].Kind == TokKind::Ident)
+            Head = T[J].Text;
+        if (Head == "InplaceFunction")
+          InplaceAliases.insert(T[I + 1].Text);
+        else if (!Head.empty())
+          HeadOf[T[I + 1].Text] = Head;
+      }
+    }
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (const auto &[Alias, Head] : HeadOf)
+        if (InplaceAliases.count(Head) && InplaceAliases.insert(Alias).second)
+          Changed = true;
+    }
+  }
+
   /// Records variables (locals and members) of unordered or pointer-keyed
-  /// associative container types, following same-file using-aliases.
+  /// associative container types, following same-file using-aliases, and
+  /// of InplaceFunction types, following the tree's aliases of it.
   ContainerSets trackContainers(const SourceFile &F) {
     ContainerSets CS;
     std::set<std::string> UnorderedAliases, PtrKeyedAliases;
@@ -271,7 +306,16 @@ private:
         size_t Close = matchForward(T, I + 1);
         if (Close + 1 < T.size() && T[Close + 1].Kind == TokKind::Ident)
           CS.Inplace.insert(T[Close + 1].Text);
+        continue;
       }
+
+      // InplaceAlias Name (ReplyCallback Done; Scheduler::Action Fn = ...)
+      if (InplaceAliases.count(T[I].Text) && T[I + 1].Kind == TokKind::Ident &&
+          I + 2 < T.size() &&
+          (isPunct(T[I + 2], ";") || isPunct(T[I + 2], "=") ||
+           isPunct(T[I + 2], "{") || isPunct(T[I + 2], ",") ||
+           isPunct(T[I + 2], ")")))
+        CS.Inplace.insert(T[I + 1].Text);
     }
     return CS;
   }
@@ -825,9 +869,15 @@ private:
   /// and the server, the reply delivered here is the only place a
   /// deferred op's failure ever surfaces — a completion that names the
   /// reply but never examines or forwards it swallows that error.
+  /// Calls that hand a MetaReply to a callback argument: client submits,
+  /// the write-behind entry points and issue hook, the RPC layer, server
+  /// processing and the sharded service's dispatch and forwarding.
   static bool isCompletionApi(const std::string &Name) {
-    return Name == "submit" || Name == "enqueue" || Name == "rpc" ||
-           Name == "transact" || Name == "process" || Name == "processEager";
+    return Name == "submit" || Name == "enqueue" || Name == "fsync" ||
+           Name == "Issue" || Name == "rpc" || Name == "transact" ||
+           Name == "failLocally" || Name == "process" ||
+           Name == "processEager" || Name == "dispatchAtShard" ||
+           Name == "forward";
   }
 
   void checkSwallowedCompletionErrors(const SourceFile &F) {
@@ -1310,6 +1360,7 @@ private:
   std::vector<Finding> &Out;
   std::set<std::string> ErrorFns;
   std::set<std::string> UnorderedVars, PtrKeyedVars, InplaceVars;
+  std::set<std::string> InplaceAliases; ///< see harvestInplaceAliases()
   SymbolTable ST;
   CallGraph CG;
   std::map<int, std::vector<int>> DefsByFile;       ///< FileIndex -> defs

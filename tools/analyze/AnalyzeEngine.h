@@ -26,7 +26,9 @@
 ///    an integer. Scope: src/, bench/ and tools/ (everything whose output
 ///    is compared across runs).
 ///  - callback-lifetime: per-capture escape analysis on lambdas handed to
-///    Scheduler::at()/after() or stored in InplaceFunction members: a
+///    Scheduler::at()/after() or stored in InplaceFunction variables —
+///    spelled out or through any alias of it in the tree (ReplyCallback,
+///    Scheduler::Action, ...): a
 ///    named by-reference capture ([&x]) or an address-of init-capture
 ///    ([p = &x]) dangles if the callback outlives the frame. tests/ and
 ///    bench/ are exempt (the capturing frame runs the scheduler to
@@ -41,8 +43,10 @@
 ///    of discarded-error ( -Werror turns the compiler into the second
 ///    gate).
 ///  - swallowed-completion-error: a completion lambda handed to an async
-///    submission API (submit/enqueue/rpc/transact/process/processEager)
-///    that names its MetaReply parameter but never reads .Err/.ok() nor
+///    submission API (submit/enqueue/fsync/Issue/rpc/transact/failLocally/
+///    process/processEager/dispatchAtShard/forward) that names its
+///    MetaReply parameter (by value or MetaReply &&) but never reads
+///    .Err/.ok() nor
 ///    forwards the reply. With the write-behind queue the completion is
 ///    the only place a deferred op's failure surfaces, so ignoring it
 ///    swallows the error; an unnamed `(MetaReply)` parameter is the

@@ -20,7 +20,7 @@
 #      reproduce the committed BENCH_E30.json / BENCH_E31.json,
 #   7. the trace and fault tests rebuilt under ASan+UBSan (always — the
 #      trace layer threads ids through every queue, and the retry path
-#      keeps exchange state alive across timer-cancelled attempts; both
+#      keeps each RPC record alive across superseded attempts; both
 #      must stay memory-clean),
 #   8. (optionally) the full suite rebuilt under sanitizers.
 #
@@ -123,7 +123,7 @@ if [ -n "$SANITIZE" ]; then
 else
   # Even without --sanitize, the trace and fault tests always run under
   # ASan+UBSan: the trace layer threads ids through every internal queue,
-  # and the retry path keeps shared Exchange state alive across
+  # and the retry path keeps the reference-counted RPC record alive across
   # retransmits, orphaned replies and a mid-run server crash — exactly
   # the kind of plumbing where lifetime bugs hide.
   step "trace + fault tests under ASan+UBSan (build-sanitize/)"
