@@ -21,18 +21,10 @@ void RpcClientBase::serveAt(FileServer &Server, uint32_t VolId, CallRef C) {
   // The server executes at arrival and returns the reply now; it leaves
   // once the server has finished the work. Committed always runs as a
   // later event, so the record is filled before anything reads it.
-  X.Reply =
-      Server.processEager(VolId, X.Req, [this, C = std::move(C)]() mutable {
-        NetworkLink::Delivery RD = FromServer.plan(0);
-        if (RD.Dropped) {
-          C->ReplyHeld = false; // reply lost; the retransmit timer recovers
-          return;
-        }
-        Sched.after(RD.Delay, [this, C = std::move(C)]() mutable {
-          C->ReplyHeld = false;
-          deliver(*C);
-        });
-      });
+  X.Reply = Server.processEager(VolId, X.Req,
+                                [this, C = std::move(C)]() mutable {
+                                  sendHeldReply(std::move(C));
+                                });
 }
 
 void RpcClientBase::mountWriteBehind(std::optional<WriteBehindQueue> &WB,

@@ -201,18 +201,17 @@ protected:
   /// the sharded service): the reply hop back to this client.
   ReplyCallback replyTo(CallRef C) {
     return [this, C = std::move(C)](MetaReply &&Reply) mutable {
-      NetworkLink::Delivery RD = FromServer.plan(0);
-      if (RD.Dropped)
-        return; // reply lost; the retransmit timer recovers
       if (!C->ReplyHeld) {
         C->ReplyHeld = true;
         C->Reply = std::move(Reply);
-        Sched.after(RD.Delay, [this, C = std::move(C)]() mutable {
-          C->ReplyHeld = false;
-          deliver(*C);
-        });
+        sendHeldReply(std::move(C));
         return;
       }
+      // A retransmit overtook an earlier attempt whose reply still
+      // occupies the record: this reply travels in its own hop.
+      NetworkLink::Delivery RD = FromServer.plan(0);
+      if (RD.Dropped)
+        return; // reply lost; the retransmit timer recovers
       Sched.after(RD.Delay, [this, C = std::move(C),
                              Reply = std::move(Reply)]() mutable {
         if (!C->Completed)
@@ -394,6 +393,19 @@ private:
       ++C->Attempt;
       ++Retransmits;
       startAttempt(C);
+    });
+  }
+
+  /// The reply hop for the reply held in \p C's record.
+  void sendHeldReply(CallRef C) {
+    NetworkLink::Delivery RD = FromServer.plan(0);
+    if (RD.Dropped) {
+      C->ReplyHeld = false; // reply lost; the retransmit timer recovers
+      return;
+    }
+    Sched.after(RD.Delay, [this, C = std::move(C)]() mutable {
+      C->ReplyHeld = false;
+      deliver(*C);
     });
   }
 
