@@ -9,31 +9,28 @@
 using namespace dmb;
 
 void AttrCache::insert(const std::string &Path, const Attr &A, SimTime Now) {
-  Entries[Path] = Entry{A, Now};
+  Entries.insertOrAssign(Entry{Path, A, Now});
 }
 
 std::optional<Attr> AttrCache::lookup(std::string_view Path, SimTime Now) {
-  auto It = Entries.find(Path);
-  if (It == Entries.end()) {
+  auto Found = Entries.locate(Path);
+  if (!Found) {
     ++Misses;
     return std::nullopt;
   }
   // An entry is valid strictly within the TTL window: at age == Ttl the
   // attributes are already stale (acregmax semantics), so the boundary
   // lookup must revalidate, not hit.
-  if (Ttl > 0 && Now - It->second.InsertedAt >= Ttl) {
-    Entries.erase(It);
+  if (Ttl > 0 && Now - Found.Value->InsertedAt >= Ttl) {
+    Entries.erase(Found);
     ++Misses;
     return std::nullopt;
   }
   ++Hits;
-  return It->second.A;
+  return Found.Value->A;
 }
 
-void AttrCache::invalidate(std::string_view Path) {
-  if (auto It = Entries.find(Path); It != Entries.end())
-    Entries.erase(It);
-}
+void AttrCache::invalidate(std::string_view Path) { Entries.erase(Path); }
 
 void AttrCache::invalidateForMutation(const MetaRequest &Req) {
   bool ShapeChange = false;

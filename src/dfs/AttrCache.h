@@ -17,11 +17,10 @@
 
 #include "dfs/Message.h"
 #include "fs/Types.h"
-#include <functional>
+#include "support/FlatIndex.h"
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 namespace dmb {
 
@@ -70,21 +69,18 @@ public:
 
 private:
   struct Entry {
+    std::string Path;
     Attr A;
     SimTime InsertedAt = 0;
   };
-
-  /// Transparent hash: lookups and invalidations take views (a parent
-  /// directory is a prefix of the request path) without building a key.
-  struct PathHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view Path) const {
-      return std::hash<std::string_view>()(Path);
-    }
+  struct PathOf {
+    std::string_view operator()(const Entry &E) const { return E.Path; }
   };
 
   SimDuration Ttl;
-  std::unordered_map<std::string, Entry, PathHash, std::equal_to<>> Entries;
+  /// Lookups and invalidations take views (a parent directory is a prefix
+  /// of the request path) without building a key.
+  FlatIndex<Entry, PathOf> Entries;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };

@@ -77,12 +77,12 @@ std::vector<uint64_t> WriteBehindQueue::seedsFor(const MetaRequest &Req) const {
   auto AddPath = [&](const std::string &P) {
     if (P.empty())
       return;
-    if (auto It = LastByPath.find(P); It != LastByPath.end())
-      AddLive(It->second);
+    if (const PathOp *L = LastByPath.find(P))
+      AddLive(L->Id);
     // Reading a directory (or fsyncing it) also needs its queued children
     // settled: their creates change the listing and the dir's attrs.
-    if (auto It = LastChildOf.find(P); It != LastChildOf.end())
-      AddLive(It->second);
+    if (const PathOp *L = LastChildOf.find(P))
+      AddLive(L->Id);
   };
   AddPath(Req.Path);
   if (path2IsPath(Req.Op))
@@ -161,8 +161,8 @@ bool WriteBehindQueue::coalesce(const MetaRequest &Req) {
   case MetaOp::Chown:
   case MetaOp::Utimes:
   case MetaOp::Setxattr:
-    if (auto It = LastByPath.find(Req.Path); It != LastByPath.end())
-      CandidateId = It->second;
+    if (const PathOp *L = LastByPath.find(Req.Path))
+      CandidateId = L->Id;
     break;
   case MetaOp::Write:
     if (isLocalFh(Req.Fh))
@@ -223,14 +223,22 @@ void WriteBehindQueue::addDep(Op &From, uint64_t On) {
   ++From.PendingDeps;
 }
 
+void WriteBehindQueue::setLast(PathIndex &Index, std::string_view Path,
+                               uint64_t Id) {
+  if (PathOp *L = Index.find(Path))
+    L->Id = Id;
+  else
+    Index.insertOrAssign(PathOp{std::string(Path), Id});
+}
+
 void WriteBehindQueue::indexOp(const Op &O) {
   const MetaRequest &Req = O.Req;
   auto Index = [&](const std::string &P) {
     if (P.empty())
       return;
-    LastByPath[P] = O.Id;
+    setLast(LastByPath, P, O.Id);
     if (std::string_view Parent = parentPath(P); !Parent.empty())
-      LastChildOf[std::string(Parent)] = O.Id;
+      setLast(LastChildOf, Parent, O.Id);
   };
   Index(Req.Path);
   if (path2IsPath(Req.Op))
@@ -286,20 +294,19 @@ void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
   auto DepPath = [&](const std::string &P) {
     if (P.empty())
       return;
-    if (auto It = LastByPath.find(P); It != LastByPath.end())
-      addDep(O, It->second);
+    if (const PathOp *L = LastByPath.find(P))
+      addDep(O, L->Id);
     if (std::string_view Parent = parentPath(P); !Parent.empty())
-      if (auto It = LastByPath.find(std::string(Parent));
-          It != LastByPath.end())
-        addDep(O, It->second);
+      if (const PathOp *L = LastByPath.find(Parent))
+        addDep(O, L->Id);
   };
   DepPath(O.Req.Path);
   if (path2IsPath(O.Req.Op))
     DepPath(O.Req.Path2);
   if (O.Req.Op == MetaOp::Rmdir || O.Req.Op == MetaOp::Rename) {
     // Removing or renaming a directory orders after its queued children.
-    if (auto It = LastChildOf.find(O.Req.Path); It != LastChildOf.end())
-      addDep(O, It->second);
+    if (const PathOp *L = LastChildOf.find(O.Req.Path))
+      addDep(O, L->Id);
   }
   if (isLocalFh(O.Req.Fh)) {
     const LocalHandle &H = LocalFhs.at(O.Req.Fh);
@@ -440,13 +447,11 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
   auto Unindex = [&](const std::string &P) {
     if (P.empty())
       return;
-    if (auto PIt = LastByPath.find(P);
-        PIt != LastByPath.end() && PIt->second == Id)
-      LastByPath.erase(PIt);
+    if (auto L = LastByPath.locate(P); L && L.Value->Id == Id)
+      LastByPath.erase(L);
     if (std::string_view Parent = parentPath(P); !Parent.empty())
-      if (auto CIt = LastChildOf.find(std::string(Parent));
-          CIt != LastChildOf.end() && CIt->second == Id)
-        LastChildOf.erase(CIt);
+      if (auto C = LastChildOf.locate(Parent); C && C.Value->Id == Id)
+        LastChildOf.erase(C);
   };
   Unindex(O.Req.Path);
   if (path2IsPath(O.Req.Op))

@@ -40,6 +40,7 @@
 #include "dfs/ClientConfig.h"
 #include "dfs/Message.h"
 #include "sim/Scheduler.h"
+#include "support/FlatIndex.h"
 #include <deque>
 #include <map>
 #include <set>
@@ -209,9 +210,21 @@ private:
   /// Ids enqueued since the last flush, ascending. A superset of the
   /// St::Queued ops: a barrier may claim some of them first.
   std::vector<uint64_t> Unflushed;
-  std::unordered_map<std::string, uint64_t> LastByPath;
-  std::unordered_map<std::string, uint64_t> LastChildOf; ///< dir -> last op
-                                                         ///< on a child
+  /// The last live op naming a path, keyed by that path.
+  struct PathOp {
+    std::string Path;
+    uint64_t Id = 0;
+  };
+  struct PathOf {
+    std::string_view operator()(const PathOp &P) const { return P.Path; }
+  };
+  using PathIndex = FlatIndex<PathOp, PathOf>;
+  /// Points \p Path's entry in \p Index at \p Id; builds a key string only
+  /// when the path is new.
+  static void setLast(PathIndex &Index, std::string_view Path, uint64_t Id);
+
+  PathIndex LastByPath;
+  PathIndex LastChildOf; ///< dir -> last op on a child
   std::unordered_map<FileHandle, LocalHandle> LocalFhs;
   FileHandle NextLocalFh = LocalFhTag | 1;
 

@@ -5,9 +5,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "fs/DirectoryIndex.h"
+#include "support/Assert.h"
+#include "support/FlatIndex.h"
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <set>
 
 using namespace dmb;
 
@@ -78,25 +80,20 @@ public:
   const DirEntry *lookup(std::string_view Name,
                          OpCost &Cost) const override {
     ++Cost.DirEntriesScanned;
-    auto It = Map.find(Name);
-    if (It == Map.end())
-      return nullptr;
-    return &It->second;
+    return Map.find(Name);
   }
 
   void insert(DirEntry Entry, OpCost &Cost) override {
     ++Cost.DirEntriesScanned;
     ++Cost.DirEntriesWritten;
-    std::string Name = Entry.Name;
-    Map.emplace(std::move(Name), std::move(Entry));
+    bool Fresh = Map.insertOrAssign(std::move(Entry));
+    DMB_ASSERT(Fresh, "HashedDirectory::insert: name already present");
   }
 
   bool erase(std::string_view Name, OpCost &Cost) override {
     ++Cost.DirEntriesScanned;
-    auto It = Map.find(Name);
-    if (It == Map.end())
+    if (!Map.erase(Name))
       return false;
-    Map.erase(It);
     ++Cost.DirEntriesWritten;
     return true;
   }
@@ -104,10 +101,10 @@ public:
   void list(std::vector<DirEntry> &Out, OpCost &Cost) const override {
     Cost.DirEntriesScanned += Map.size();
     // Deterministic listing order: sort by name (real readdir order for a
-    // hash directory is arbitrary; sorting keeps simulations reproducible).
+    // hash directory is arbitrary, and the table's own order depends on
+    // its erase history; sorting keeps simulations reproducible).
     size_t Start = Out.size();
-    for (const auto &KV : Map)
-      Out.push_back(KV.second);
+    Map.forEach([&Out](const DirEntry &E) { Out.push_back(E); });
     std::sort(Out.begin() + static_cast<ptrdiff_t>(Start), Out.end(),
               [](const DirEntry &A, const DirEntry &B) {
                 return A.Name < B.Name;
@@ -117,15 +114,10 @@ public:
   size_t size() const override { return Map.size(); }
 
 private:
-  /// Transparent hash and equality: lookups take a string_view without
-  /// building a key. The hash equals std::hash<std::string>'s.
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view Name) const {
-      return std::hash<std::string_view>()(Name);
-    }
+  struct NameOf {
+    std::string_view operator()(const DirEntry &E) const { return E.Name; }
   };
-  std::unordered_map<std::string, DirEntry, NameHash, std::equal_to<>> Map;
+  FlatIndex<DirEntry, NameOf> Map;
 };
 
 /// XFS/ext3-style tree directory: O(log n) lookups.
@@ -134,46 +126,56 @@ public:
   const DirEntry *lookup(std::string_view Name,
                          OpCost &Cost) const override {
     Cost.DirEntriesScanned += logCost();
-    auto It = Map.find(Name);
-    if (It == Map.end())
+    auto It = Set.find(Name);
+    if (It == Set.end())
       return nullptr;
-    return &It->second;
+    return &*It;
   }
 
   void insert(DirEntry Entry, OpCost &Cost) override {
     Cost.DirEntriesScanned += logCost();
     ++Cost.DirEntriesWritten;
-    std::string Name = Entry.Name;
-    Map.emplace(std::move(Name), std::move(Entry));
+    bool Fresh = Set.insert(std::move(Entry)).second;
+    DMB_ASSERT(Fresh, "BTreeDirectory::insert: name already present");
   }
 
   bool erase(std::string_view Name, OpCost &Cost) override {
     Cost.DirEntriesScanned += logCost();
-    auto It = Map.find(Name);
-    if (It == Map.end())
+    auto It = Set.find(Name);
+    if (It == Set.end())
       return false;
-    Map.erase(It);
+    Set.erase(It);
     ++Cost.DirEntriesWritten;
     return true;
   }
 
   void list(std::vector<DirEntry> &Out, OpCost &Cost) const override {
-    Cost.DirEntriesScanned += Map.size();
-    for (const auto &KV : Map)
-      Out.push_back(KV.second);
+    Cost.DirEntriesScanned += Set.size();
+    Out.insert(Out.end(), Set.begin(), Set.end());
   }
 
-  size_t size() const override { return Map.size(); }
+  size_t size() const override { return Set.size(); }
 
 private:
   uint64_t logCost() const {
-    size_t N = Map.size();
+    size_t N = Set.size();
     if (N < 2)
       return 1;
     return static_cast<uint64_t>(std::ceil(std::log2(double(N)))) + 1;
   }
 
-  std::map<std::string, DirEntry, std::less<>> Map;
+  /// Orders entries by name and lets lookups probe with a bare name, so
+  /// each name is stored once, in its entry.
+  struct ByName {
+    using is_transparent = void;
+    static std::string_view name(const DirEntry &E) { return E.Name; }
+    static std::string_view name(std::string_view N) { return N; }
+    template <typename A, typename B>
+    bool operator()(const A &L, const B &R) const {
+      return name(L) < name(R);
+    }
+  };
+  std::set<DirEntry, ByName> Set;
 };
 
 } // namespace

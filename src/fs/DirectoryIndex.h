@@ -17,11 +17,9 @@
 #define DMETABENCH_FS_DIRECTORYINDEX_H
 
 #include "fs/Types.h"
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace dmb {
@@ -45,12 +43,14 @@ public:
   virtual ~DirectoryIndex();
 
   /// Looks up \p Name; returns the entry or nullptr. Takes a view, so a
-  /// path walk probes with the component in place.
+  /// path walk probes with the component in place. The pointer is valid
+  /// until the next insert() or erase().
   virtual const DirEntry *lookup(std::string_view Name,
                                  OpCost &Cost) const = 0;
 
-  /// Inserts an entry. Precondition: no entry with the same name exists
-  /// (the file system checks uniqueness via lookup() first, \S 2.6.3).
+  /// Inserts an entry. Precondition: no entry with the same name exists.
+  /// Every caller checks uniqueness via lookup() first (\S 2.6.3); the
+  /// hashed and tree indexes assert it, since their insert probes anyway.
   virtual void insert(DirEntry Entry, OpCost &Cost) = 0;
 
   /// Erases \p Name. Returns false when absent.

@@ -7,7 +7,6 @@
 #include "fs/LocalFileSystem.h"
 #include "support/Assert.h"
 #include "support/Format.h"
-#include <algorithm>
 #include <deque>
 #include <set>
 
@@ -42,15 +41,12 @@ LocalFileSystem::LocalFileSystem(FsConfig C) : Config(C) {
   Root->A.BlockSize = Config.BlockSize;
   Root->Dir = makeDirectoryIndex(Config.DirIndex);
   Root->Parent = RootIno; // Root's dot-dot points to itself (\S 2.1.1).
-  Inodes.emplace(RootIno, std::move(Root));
+  Inodes.resize(RootIno); // inode number 0 is never used
+  Inodes.push_back(std::move(Root));
+  LiveInodes = 1;
 }
 
 LocalFileSystem::~LocalFileSystem() = default;
-
-LocalFileSystem::Inode *LocalFileSystem::getInode(InodeNum Ino) {
-  auto It = Inodes.find(Ino);
-  return It == Inodes.end() ? nullptr : It->second.get();
-}
 
 const DirEntry *LocalFileSystem::dirLookup(Inode &Dir,
                                            std::string_view Name,
@@ -220,7 +216,7 @@ Result<InodeNum> LocalFileSystem::resolveExisting(OpCtx &Ctx,
 LocalFileSystem::Inode *LocalFileSystem::createInode(OpCtx &Ctx,
                                                      FileType Type,
                                                      uint32_t Mode) {
-  if (Inodes.size() >= Config.MaxInodes)
+  if (LiveInodes >= Config.MaxInodes)
     return nullptr;
   auto Node = std::make_unique<Inode>();
   Inode *Ptr = Node.get();
@@ -235,13 +231,15 @@ LocalFileSystem::Inode *LocalFileSystem::createInode(OpCtx &Ctx,
   if (Type == FileType::Directory)
     Node->Dir = makeDirectoryIndex(Config.DirIndex);
   ++Ctx.Cost.InodesTouched;
-  Inodes.emplace(Ptr->A.Ino, std::move(Node));
+  Inodes.push_back(std::move(Node)); // at index Ptr->A.Ino
+  ++LiveInodes;
   return Ptr;
 }
 
 void LocalFileSystem::destroyInode(Inode &Node) {
   AllocatedBlocks -= Node.A.Blocks;
-  Inodes.erase(Node.A.Ino);
+  --LiveInodes;
+  Inodes[Node.A.Ino].reset();
 }
 
 void LocalFileSystem::maybeReap(InodeNum Ino) {
@@ -886,28 +884,28 @@ LocalFileSystem::FsckReport LocalFileSystem::fsck() const {
   while (!Work.empty()) {
     InodeNum DirIno = Work.front();
     Work.pop_front();
-    auto DirIt = Inodes.find(DirIno);
-    if (DirIt == Inodes.end()) {
+    const Inode *DirNode = getInode(DirIno);
+    if (!DirNode) {
       Error(format("directory inode %llu vanished during walk",
                    (unsigned long long)DirIno));
       continue;
     }
-    const Inode &Dir = *DirIt->second;
+    const Inode &Dir = *DirNode;
     ++Report.DirectoriesChecked;
 
     std::vector<DirEntry> Entries;
     OpCost Cost;
     Dir.Dir->list(Entries, Cost);
     for (const DirEntry &E : Entries) {
-      auto It = Inodes.find(E.Ino);
-      if (It == Inodes.end()) {
+      const Inode *ChildNode = getInode(E.Ino);
+      if (!ChildNode) {
         Error(format("entry '%s' in dir %llu references missing inode "
                      "%llu",
                      E.Name.c_str(), (unsigned long long)DirIno,
                      (unsigned long long)E.Ino));
         continue;
       }
-      const Inode &Child = *It->second;
+      const Inode &Child = *ChildNode;
       if (Child.A.Type != E.Type)
         Error(format("entry '%s' type mismatch for inode %llu",
                      E.Name.c_str(), (unsigned long long)E.Ino));
@@ -928,18 +926,13 @@ LocalFileSystem::FsckReport LocalFileSystem::fsck() const {
     }
   }
 
-  // Per-inode invariants, in inode-number order: the Inodes table is an
-  // unordered_map, and fsck messages are part of replay-compared output,
-  // so hash order must not leak into the report.
-  std::vector<InodeNum> InodeOrder;
-  InodeOrder.reserve(Inodes.size());
-  for (const auto &[Ino, NodePtr] : Inodes)
-    InodeOrder.push_back(Ino);
-  std::sort(InodeOrder.begin(), InodeOrder.end());
-
+  // Per-inode invariants, in inode-number order (the Inodes table's own
+  // order): fsck messages are part of replay-compared output.
   uint64_t BlockSum = 0;
-  for (InodeNum Ino : InodeOrder) {
-    const Inode &Node = *Inodes.at(Ino);
+  for (InodeNum Ino = 0; Ino < Inodes.size(); ++Ino) {
+    if (!Inodes[Ino])
+      continue;
+    const Inode &Node = *Inodes[Ino];
     ++Report.InodesChecked;
     BlockSum += Node.A.Blocks;
 

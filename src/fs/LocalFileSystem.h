@@ -137,7 +137,7 @@ public:
 
   /// \name Introspection (tests, servers, capacity accounting)
   /// @{
-  uint64_t numInodes() const { return Inodes.size(); }
+  uint64_t numInodes() const { return LiveInodes; }
   uint64_t allocatedBlocks() const { return AllocatedBlocks; }
   size_t openHandleCount() const { return OpenFiles.size(); }
   const FsConfig &config() const { return Config; }
@@ -146,6 +146,10 @@ public:
   /// @}
 
 private:
+  /// Tests reach in through this to corrupt a volume on purpose, so fsck
+  /// has errors to report.
+  friend struct LocalFileSystemTestPeer;
+
   struct Inode;
   struct OpenFile {
     InodeNum Ino = 0;
@@ -164,7 +168,9 @@ private:
     std::unique_ptr<std::string> Spill;
   };
 
-  Inode *getInode(InodeNum Ino);
+  Inode *getInode(InodeNum Ino) const {
+    return Ino < Inodes.size() ? Inodes[Ino].get() : nullptr;
+  }
   const DirEntry *dirLookup(Inode &Dir, std::string_view Name,
                             OpCost &Cost) const;
   bool checkAccess(const Cred &C, const Inode &Node, Access Want) const;
@@ -185,10 +191,13 @@ private:
   [[nodiscard]] FsError checkName(std::string_view Name) const;
 
   FsConfig Config;
-  std::unordered_map<InodeNum, std::unique_ptr<Inode>> Inodes;
+  /// Indexed by inode number; null for numbers never used or reaped.
+  /// Inodes stay boxed: callers hold an Inode* across createInode().
+  std::vector<std::unique_ptr<Inode>> Inodes;
+  uint64_t LiveInodes = 0;
   std::unordered_map<FileHandle, OpenFile> OpenFiles;
   InodeNum RootIno = 1;
-  InodeNum NextIno = 2;
+  InodeNum NextIno = 2; ///< only grows: numbers are never reused
   FileHandle NextHandle = 1;
   uint64_t AllocatedBlocks = 0;
 };

@@ -48,10 +48,12 @@ namespace {
 
 /// Allocations per filer-processed RPC over a whole MakeFiles + StatFiles
 /// combination (2 nodes x 4 processes), plugins, file system and result
-/// bookkeeping included: 497,599 allocations over 77,190 RPCs when this
-/// budget was set. The std::function reply plumbing it replaced made
-/// 1,791,918 (23.21 per RPC) on the same combination.
-constexpr double AllocationsPerRpcBudget = 6.45;
+/// bookkeeping included: 420,692 allocations over 77,190 RPCs (5.4501 per
+/// RPC) when this budget was set, with the attribute cache, hashed
+/// directories and inode table on dense tables. The node-based maps
+/// before them made 497,599 (6.45 per RPC), and the std::function reply
+/// plumbing before that 1,791,918 (23.21 per RPC) on the same combination.
+constexpr double AllocationsPerRpcBudget = 5.46;
 
 TEST(Allocations, NfsCreateStatPerRpcWithinBudget) {
   Scheduler S;

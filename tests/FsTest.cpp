@@ -545,6 +545,118 @@ TEST(FsLimits, BlockLimitYieldsNoSpace) {
 }
 
 //===----------------------------------------------------------------------===//
+// Inode table (indexed by inode number; numbers are never reused)
+//===----------------------------------------------------------------------===//
+
+TEST(FsInodes, CountTracksCreateUnlinkAndReapAfterLastClose) {
+  LocalFileSystem Fs;
+  OpCtx Ctx = userCtx();
+  EXPECT_EQ(1u, Fs.numInodes()); // root
+  ASSERT_EQ(FsError::Ok, Fs.mkdir(Ctx, "/d", 0755));
+  ASSERT_EQ(FsError::Ok, touch(Fs, Ctx, "/d/a"));
+  ASSERT_EQ(FsError::Ok, Fs.symlink(Ctx, "/d/a", "/s"));
+  EXPECT_EQ(4u, Fs.numInodes());
+  ASSERT_EQ(FsError::Ok, Fs.link(Ctx, "/d/a", "/h"));
+  EXPECT_EQ(4u, Fs.numInodes()); // a hard link is no new inode
+  ASSERT_EQ(FsError::Ok, Fs.unlink(Ctx, "/h"));
+  EXPECT_EQ(4u, Fs.numInodes());
+
+  // An unlinked open file lingers until its last handle closes.
+  Result<FileHandle> Fh1 = Fs.open(Ctx, "/d/a", OpenRead);
+  Result<FileHandle> Fh2 = Fs.open(Ctx, "/d/a", OpenRead);
+  ASSERT_TRUE(Fh1.ok() && Fh2.ok());
+  ASSERT_EQ(FsError::Ok, Fs.unlink(Ctx, "/d/a"));
+  EXPECT_EQ(4u, Fs.numInodes());
+  ASSERT_EQ(FsError::Ok, Fs.close(Ctx, *Fh1));
+  EXPECT_EQ(4u, Fs.numInodes());
+  ASSERT_EQ(FsError::Ok, Fs.close(Ctx, *Fh2));
+  EXPECT_EQ(3u, Fs.numInodes());
+
+  ASSERT_EQ(FsError::Ok, Fs.unlink(Ctx, "/s"));
+  ASSERT_EQ(FsError::Ok, Fs.rmdir(Ctx, "/d"));
+  EXPECT_EQ(1u, Fs.numInodes());
+  EXPECT_TRUE(Fs.fsck().clean());
+}
+
+TEST(FsInodes, NumbersOnlyGrow) {
+  LocalFileSystem Fs;
+  OpCtx Ctx = userCtx();
+  ASSERT_EQ(FsError::Ok, touch(Fs, Ctx, "/a"));
+  InodeNum A = Fs.stat(Ctx, "/a")->Ino;
+  ASSERT_EQ(FsError::Ok, Fs.unlink(Ctx, "/a"));
+  ASSERT_EQ(FsError::Ok, touch(Fs, Ctx, "/a"));
+  EXPECT_GT(Fs.stat(Ctx, "/a")->Ino, A);
+}
+
+TEST(FsInodes, LimitBoundaryAppliesToEveryCreatingOp) {
+  FsConfig C;
+  C.MaxInodes = 4; // root + 3 more
+  LocalFileSystem Fs(C);
+  OpCtx Ctx = userCtx();
+  ASSERT_EQ(FsError::Ok, Fs.mkdir(Ctx, "/d", 0755));
+  ASSERT_EQ(FsError::Ok, touch(Fs, Ctx, "/d/f"));
+  ASSERT_EQ(FsError::Ok, Fs.symlink(Ctx, "/d/f", "/s"));
+  EXPECT_EQ(4u, Fs.numInodes());
+  EXPECT_EQ(FsError::NoSpace, touch(Fs, Ctx, "/g"));
+  EXPECT_EQ(FsError::NoSpace, Fs.mkdir(Ctx, "/e", 0755));
+  EXPECT_EQ(FsError::NoSpace, Fs.symlink(Ctx, "/d/f", "/t"));
+  // A hard link needs no inode, so it still succeeds at the limit.
+  EXPECT_EQ(FsError::Ok, Fs.link(Ctx, "/d/f", "/h"));
+  EXPECT_EQ(4u, Fs.numInodes());
+  // A refused create leaves no entry behind.
+  EXPECT_EQ(FsError::NoEnt, Fs.stat(Ctx, "/g").error());
+  EXPECT_EQ(FsError::NoEnt, Fs.lstat(Ctx, "/t").error());
+
+  // Freeing one inode makes room for exactly one more.
+  ASSERT_EQ(FsError::Ok, Fs.unlink(Ctx, "/s"));
+  EXPECT_EQ(FsError::Ok, Fs.mkdir(Ctx, "/e", 0755));
+  EXPECT_EQ(FsError::NoSpace, touch(Fs, Ctx, "/g"));
+  EXPECT_TRUE(Fs.fsck().clean());
+}
+
+} // namespace
+
+namespace dmb {
+/// Frees an inode behind the directory tree's back.
+struct LocalFileSystemTestPeer {
+  static void dropInode(LocalFileSystem &Fs, InodeNum Ino) {
+    Fs.destroyInode(*Fs.getInode(Ino));
+  }
+};
+} // namespace dmb
+
+namespace {
+
+TEST(FsInodes, FsckReportsPerInodeErrorsInInodeNumberOrder) {
+  LocalFileSystem Fs;
+  OpCtx Ctx = userCtx();
+  ASSERT_EQ(FsError::Ok, Fs.mkdir(Ctx, "/d", 0755));  // inode 2
+  ASSERT_EQ(FsError::Ok, touch(Fs, Ctx, "/d/c"));     // 3
+  ASSERT_EQ(FsError::Ok, touch(Fs, Ctx, "/d/b"));     // 4
+  ASSERT_EQ(FsError::Ok, touch(Fs, Ctx, "/e"));       // 5
+  ASSERT_EQ(FsError::Ok, touch(Fs, Ctx, "/x"));       // 6, then a hole
+  ASSERT_EQ(FsError::Ok, Fs.unlink(Ctx, "/x"));
+  ASSERT_EQ(FsError::Ok, touch(Fs, Ctx, "/d/a"));     // 7
+  ASSERT_EQ(2u, Fs.stat(Ctx, "/d")->Ino);
+  ASSERT_EQ(7u, Fs.stat(Ctx, "/d/a")->Ino);
+
+  // Dropping /d's inode orphans its children; their names sort in the
+  // reverse of their inode numbers.
+  LocalFileSystemTestPeer::dropInode(Fs, 2);
+  LocalFileSystem::FsckReport R = Fs.fsck();
+  EXPECT_EQ(5u, R.InodesChecked); // 1, 3, 4, 5, 7
+  EXPECT_EQ(1u, R.DirectoriesChecked);
+  std::vector<std::string> Expected = {
+      "entry 'd' in dir 1 references missing inode 2",
+      "dir inode 1 nlink=3, expected 2",
+      "orphan inode 3 (nlink=1, open=0)",
+      "orphan inode 4 (nlink=1, open=0)",
+      "orphan inode 7 (nlink=1, open=0)",
+  };
+  EXPECT_EQ(Expected, R.Errors);
+}
+
+//===----------------------------------------------------------------------===//
 // Inline data (WAFL 64-byte files, \S 4.3.4)
 //===----------------------------------------------------------------------===//
 

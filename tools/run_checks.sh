@@ -18,11 +18,15 @@
 #      check fails — and the E30 (sharded) and E31 (write-behind
 #      crash-consistency) self-checking benches, whose JSON must
 #      reproduce the committed BENCH_E30.json / BENCH_E31.json,
-#   7. the trace and fault tests rebuilt under ASan+UBSan (always — the
-#      trace layer threads ids through every queue, and the retry path
-#      keeps each RPC record alive across superseded attempts; both
-#      must stay memory-clean),
-#   8. (optionally) the full suite rebuilt under sanitizers.
+#   7. the perfbench work ledger: one lifecycle of each benchmark
+#      workload at seed 0 must reproduce perfbench/ledger.json exactly
+#      (the same loop as CI's checks.yml),
+#   8. the trace, fault, hash-table, inode-table and directory-index
+#      tests rebuilt under ASan+UBSan (always — the trace layer threads
+#      ids through every queue, the retry path keeps each RPC record
+#      alive across superseded attempts, and the open-addressing table
+#      shifts slots on every erase; all must stay memory-clean),
+#   9. (optionally) the full suite rebuilt under sanitizers.
 #
 # Exits nonzero on the first failure. Usage:
 #
@@ -46,7 +50,7 @@ while [ $# -gt 0 ]; do
     -j) JOBS="$2"; shift ;;
     -j*) JOBS="${1#-j}" ;;
     -h|--help)
-      sed -n '2,32p' "$0"; exit 0 ;;
+      sed -n '2,36p' "$0"; exit 0 ;;
     *) echo "run_checks.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
   shift
@@ -112,6 +116,16 @@ step "write-behind audit smoke (E31: mid-batch crash, exactly-once ledger)"
 "$ROOT/build/bench/bench_writebehind_audit" --out "$ROOT/build/BENCH_E31.json"
 cmp "$ROOT/build/BENCH_E31.json" "$ROOT/BENCH_E31.json"
 
+step "perfbench work ledger (exact counts and digests, seed 0)"
+# run.py builds its own runner (into build/perfbench-ledger/) and exits
+# nonzero when a digest or a deterministic work count differs from
+# perfbench/ledger.json; no timing is compared.
+for w in nfs-create-stat nfs-fanout-64k sharded-writebehind; do
+  CARGO_TARGET_DIR="$ROOT/build/perfbench-ledger" \
+      python3 "$ROOT/perfbench/run.py" --workload "$w" --seed 0 \
+      --seconds 1 --trace 0
+done
+
 if [ -n "$SANITIZE" ]; then
   step "sanitizer build (build-sanitize/, DMB_SANITIZE=$SANITIZE)"
   cmake -B "$ROOT/build-sanitize" -S "$ROOT" \
@@ -121,18 +135,21 @@ if [ -n "$SANITIZE" ]; then
   step "ctest under sanitizers"
   ctest --test-dir "$ROOT/build-sanitize" --output-on-failure -j "$JOBS"
 else
-  # Even without --sanitize, the trace and fault tests always run under
-  # ASan+UBSan: the trace layer threads ids through every internal queue,
-  # and the retry path keeps the reference-counted RPC record alive across
-  # retransmits, orphaned replies and a mid-run server crash — exactly
-  # the kind of plumbing where lifetime bugs hide.
-  step "trace + fault tests under ASan+UBSan (build-sanitize/)"
+  # Even without --sanitize, some tests always run under ASan+UBSan: the
+  # trace layer threads ids through every internal queue, the retry path
+  # keeps the reference-counted RPC record alive across retransmits,
+  # orphaned replies and a mid-run server crash, and FlatIndex's
+  # backward-shift erase moves slots and values around a wrapping probe
+  # run — exactly the kind of code where lifetime and out-of-bounds bugs
+  # hide. The FlatIndex differential tests, the inode-table tests and
+  # the directory-index and path-walk tests cover the table and its users.
+  step "trace, fault, table and directory tests under ASan+UBSan (build-sanitize/)"
   cmake -B "$ROOT/build-sanitize" -S "$ROOT" \
         -DDMB_SANITIZE="address,undefined" >/dev/null
   cmake --build "$ROOT/build-sanitize" -j "$JOBS" \
-        --target trace_test fault_test
+        --target trace_test fault_test flat_index_test fs_test path_walk_test
   ctest --test-dir "$ROOT/build-sanitize" --output-on-failure -j "$JOBS" \
-        -R '^Trace|^Fault|^Network'
+        -R '^Trace|^Fault|^Network|^FlatIndex\.|^FsInodes\.|DirIndexParamTest|PathWalkTest'
 fi
 
 echo
