@@ -30,6 +30,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace dmbbench;
 
@@ -152,10 +154,8 @@ std::string jsonScenario(const ScenarioResult &R) {
                 R.SimOpsPerSec);
 }
 
-/// Peak resident set size (VmHWM) in kilobytes, or 0 when /proc is not
-/// readable. The high-water mark is monotonic, so running curve points in
-/// ascending client order lets the delta across the largest point isolate
-/// its incremental footprint.
+/// Peak resident set size (VmHWM) of this process in kilobytes, or 0 when
+/// /proc is not readable.
 long readVmHwmKb() {
   std::ifstream In("/proc/self/status");
   std::string Line;
@@ -171,45 +171,73 @@ struct CurvePoint {
   unsigned Ppn = 0;
   uint64_t SimOps = 0;
   uint64_t Events = 0;
-  double WallSec = 0;
+  double WallSec = 0; ///< construction through teardown
   double EventsPerSec = 0;
+  long BytesPerClient = 0; ///< the point's own process VmHWM per client
 };
 
 /// One scale-out point: a full Master combination with Clients simulated
 /// worker processes (8 per node) against a single NFS server. The
 /// per-worker problem is kept tiny — the point measures the engine's cost
 /// per client (events retired per wall second and bytes of state), not
-/// file system throughput.
+/// file system throughput. The wall time covers the whole lifecycle, from
+/// constructing the cluster to tearing it down.
 CurvePoint runCurvePoint(unsigned Clients) {
-  unsigned Ppn = 8;
-  unsigned Nodes = std::max(1u, Clients / Ppn);
-  Scheduler S;
-  Cluster C(S, Nodes, Ppn);
-  NfsFs Fs(S);
-  C.mountEverywhere(Fs);
-
-  BenchParams P;
-  P.Operations = {"MakeFiles"};
-  P.ProblemSize = 1000;
-  P.TimeLimit = seconds(0.01);
-  MpiEnvironment Env = MpiEnvironment::uniform(Nodes, Ppn + 1);
-  Master M(C, Env, Fs.name(), P);
-
-  double T0 = wallSeconds();
-  ResultSet Res = M.runCombination(Nodes, Ppn);
-  double T1 = wallSeconds();
-
   CurvePoint Pt;
-  Pt.Clients = Nodes * Ppn;
-  Pt.Nodes = Nodes;
-  Pt.Ppn = Ppn;
-  for (const SubtaskResult &Sub : Res.Subtasks)
-    Pt.SimOps += summarize(Sub).TotalOps;
-  Pt.Events = S.executedEvents();
-  Pt.WallSec = T1 - T0;
+  Pt.Ppn = 8;
+  Pt.Nodes = std::max(1u, Clients / Pt.Ppn);
+  Pt.Clients = Pt.Nodes * Pt.Ppn;
+  double T0 = wallSeconds();
+  {
+    Scheduler S;
+    Cluster C(S, Pt.Nodes, Pt.Ppn);
+    NfsFs Fs(S);
+    C.mountEverywhere(Fs);
+
+    BenchParams P;
+    P.Operations = {"MakeFiles"};
+    P.ProblemSize = 1000;
+    P.TimeLimit = seconds(0.01);
+    MpiEnvironment Env = MpiEnvironment::uniform(Pt.Nodes, Pt.Ppn + 1);
+    Master M(C, Env, Fs.name(), P);
+
+    ResultSet Res = M.runCombination(Pt.Nodes, Pt.Ppn);
+    for (const SubtaskResult &Sub : Res.Subtasks)
+      Pt.SimOps += summarize(Sub).TotalOps;
+    Pt.Events = S.executedEvents();
+  }
+  Pt.WallSec = wallSeconds() - T0;
   Pt.EventsPerSec =
       Pt.WallSec > 0 ? static_cast<double>(Pt.Events) / Pt.WallSec : 0;
+  Pt.BytesPerClient =
+      readVmHwmKb() * 1024L / static_cast<long>(Pt.Clients);
   return Pt;
+}
+
+/// Runs one curve point in a forked child, so its VmHWM is its own rather
+/// than the high-water mark of every point before it. False when the child
+/// fails, e.g. when it is killed for running out of memory.
+bool runCurvePointInChild(unsigned Clients, CurvePoint &Out) {
+  int Fds[2];
+  if (pipe(Fds) != 0)
+    return false;
+  std::fflush(stdout);
+  pid_t Pid = fork();
+  if (Pid == 0) {
+    CurvePoint Pt = runCurvePoint(Clients);
+    _exit(write(Fds[1], &Pt, sizeof Pt) == sizeof Pt ? 0 : 1);
+  }
+  // The parent closes its write end so that a child that dies without
+  // writing ends the read below. Closing a pipe end loses no data, so
+  // neither close is checked.
+  (void)close(Fds[1]);
+  // One write of less than PIPE_BUF bytes arrives whole or not at all.
+  bool Got = Pid > 0 && read(Fds[0], &Out, sizeof Out) == sizeof Out;
+  (void)close(Fds[0]);
+  int Status = 0;
+  if (Pid > 0)
+    waitpid(Pid, &Status, 0);
+  return Got && WIFEXITED(Status) && WEXITSTATUS(Status) == 0;
 }
 
 } // namespace
@@ -265,6 +293,32 @@ int main(int Argc, char **Argv) {
          "Raw scheduler events/sec and end-to-end simulated metadata "
          "ops per wall-clock second (nfs + lustre tier-1 scenarios)");
 
+  // Clients-vs-throughput scale curve: geometric client counts up to
+  // --curve-max, each a full Master combination in its own child process.
+  // The curve runs first, so each child starts from a parent that holds
+  // almost nothing.
+  std::vector<CurvePoint> Curve;
+  bool CurveOk = true;
+  for (uint64_t Clients : {1024ull, 4096ull, 16384ull, 65536ull, 262144ull,
+                           1048576ull}) {
+    if (Clients > CurveMax)
+      break;
+    CurvePoint Pt;
+    if (!runCurvePointInChild(static_cast<unsigned>(Clients), Pt)) {
+      std::fprintf(stderr, "scale %7llu clients: child process failed\n",
+                   (unsigned long long)Clients);
+      CurveOk = false;
+      break;
+    }
+    std::printf("scale %7u clients (%6u nodes x %u): %llu sim ops, "
+                "%llu events in %.3f s -> %.0f events/s, %ld B/client\n",
+                Pt.Clients, Pt.Nodes, Pt.Ppn,
+                (unsigned long long)Pt.SimOps,
+                (unsigned long long)Pt.Events, Pt.WallSec, Pt.EventsPerSec,
+                Pt.BytesPerClient);
+    Curve.push_back(Pt);
+  }
+
   RawResult Raw =
       rawSchedulerThroughput(RawEvents, static_cast<unsigned>(Chains));
   std::printf("raw scheduler: %llu events in %.3f s -> %.0f events/s\n",
@@ -285,43 +339,17 @@ int main(int Argc, char **Argv) {
               (unsigned long long)Lustre.SimOps, Lustre.WallSec,
               Lustre.OpsPerWallSec, Lustre.SimOpsPerSec);
 
-  // Clients-vs-throughput scale curve (ROADMAP item 2): geometric client
-  // counts up to --curve-max, each a full Master combination. Ascending
-  // order makes the VmHWM delta across the largest point its incremental
-  // footprint -> bytes per client.
-  std::vector<CurvePoint> Curve;
-  long BytesPerClient = 0;
-  for (uint64_t Clients : {1024ull, 4096ull, 16384ull, 65536ull, 262144ull,
-                           1048576ull}) {
-    if (Clients > CurveMax)
-      break;
-    long HwmBefore = readVmHwmKb();
-    CurvePoint Pt = runCurvePoint(static_cast<unsigned>(Clients));
-    long HwmAfter = readVmHwmKb();
-    std::printf("scale %7u clients (%6u nodes x %u): %llu sim ops, "
-                "%llu events in %.3f s -> %.0f events/s\n",
-                Pt.Clients, Pt.Nodes, Pt.Ppn,
-                (unsigned long long)Pt.SimOps,
-                (unsigned long long)Pt.Events, Pt.WallSec, Pt.EventsPerSec);
-    if (HwmAfter > HwmBefore && Pt.Clients > 0)
-      BytesPerClient =
-          (HwmAfter - HwmBefore) * 1024L / static_cast<long>(Pt.Clients);
-    Curve.push_back(Pt);
-  }
-  if (!Curve.empty())
-    std::printf("bytes per client at %u clients: %ld\n",
-                Curve.back().Clients, BytesPerClient);
-
   std::string CurveJson = "[";
   for (size_t I = 0; I < Curve.size(); ++I) {
     const CurvePoint &Pt = Curve[I];
     CurveJson += format("%s\n    {\"clients\": %u, \"nodes\": %u, "
                         "\"ppn\": %u, \"sim_ops\": %llu, \"events\": %llu, "
-                        "\"wall_s\": %.3f, \"events_per_sec\": %.0f}",
+                        "\"wall_s\": %.3f, \"events_per_sec\": %.0f, "
+                        "\"vmhwm_bytes_per_client\": %ld}",
                         I ? "," : "", Pt.Clients, Pt.Nodes, Pt.Ppn,
                         (unsigned long long)Pt.SimOps,
                         (unsigned long long)Pt.Events, Pt.WallSec,
-                        Pt.EventsPerSec);
+                        Pt.EventsPerSec, Pt.BytesPerClient);
   }
   CurveJson += "\n  ]";
 
@@ -335,16 +363,15 @@ int main(int Argc, char **Argv) {
       "\"events_per_sec\": %.0f},\n"
       "  \"nfs_makefiles_statfiles\": %s,\n"
       "  \"lustre_makefiles\": %s,\n"
-      "  \"scale_curve\": %s,\n"
-      "  \"bytes_per_client\": %ld\n"
+      "  \"scale_curve\": %s\n"
       "}\n",
       Label.c_str(), (unsigned long long)RawEvents, (unsigned)Chains,
       (unsigned long long)ProblemSize, TimeLimitSec,
       (unsigned long long)Raw.Events, Raw.WallSec, Raw.EventsPerSec,
       jsonScenario(Nfs).c_str(), jsonScenario(Lustre).c_str(),
-      CurveJson.c_str(), BytesPerClient);
+      CurveJson.c_str());
 
   std::ofstream(Out) << Json;
   std::printf("\nwrote %s\n", Out.c_str());
-  return 0;
+  return CurveOk ? 0 : 1;
 }

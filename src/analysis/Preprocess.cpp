@@ -12,32 +12,40 @@
 using namespace dmb;
 
 std::vector<IntervalRow> dmb::intervalSummary(const SubtaskResult &R) {
-  std::vector<IntervalRow> Rows;
   size_t NumIntervals = R.numIntervals();
   double IntervalSec = toSeconds(R.Interval);
   size_t NumProcs = R.Processes.size();
-  uint64_t Cumulative = 0;
 
-  for (size_t I = 0; I < NumIntervals; ++I) {
-    // Per-process operations completed within interval I.
-    double Sum = 0, SumSq = 0;
-    uint64_t IntervalTotal = 0;
-    for (const ProcessTrace &P : R.Processes) {
-      uint64_t Ops = I < P.OpsPerInterval.size() ? P.OpsPerInterval[I] : 0;
-      IntervalTotal += Ops;
+  // Per-interval sums over processes, visiting only stored buckets. Each
+  // accumulator still adds in process order, and the buckets skipped are
+  // exact zeros, so the doubles match a dense walk bit for bit.
+  std::vector<uint64_t> Totals(NumIntervals, 0);
+  std::vector<double> Sum(NumIntervals, 0), SumSq(NumIntervals, 0);
+  for (const ProcessTrace &P : R.Processes) {
+    size_t I = P.OpsPerInterval.firstStored();
+    for (uint64_t Ops : P.OpsPerInterval.stored()) {
+      Totals[I] += Ops;
       double X = static_cast<double>(Ops);
-      Sum += X;
-      SumSq += X * X;
+      Sum[I] += X;
+      SumSq[I] += X * X;
+      ++I;
     }
-    Cumulative += IntervalTotal;
+  }
+
+  std::vector<IntervalRow> Rows;
+  Rows.reserve(NumIntervals);
+  uint64_t Cumulative = 0;
+  for (size_t I = 0; I < NumIntervals; ++I) {
+    Cumulative += Totals[I];
 
     IntervalRow Row;
     Row.TimeSec = static_cast<double>(I + 1) * IntervalSec;
     Row.TotalOps = Cumulative;
-    Row.OpsPerSec = static_cast<double>(IntervalTotal) / IntervalSec;
+    Row.OpsPerSec = static_cast<double>(Totals[I]) / IntervalSec;
     if (NumProcs > 1) {
-      double Mean = Sum / static_cast<double>(NumProcs);
-      double Var = (SumSq - Sum * Mean) / static_cast<double>(NumProcs - 1);
+      double Mean = Sum[I] / static_cast<double>(NumProcs);
+      double Var =
+          (SumSq[I] - Sum[I] * Mean) / static_cast<double>(NumProcs - 1);
       if (Var < 0)
         Var = 0;
       // Sample standard deviation, as in Listing 3.4.
@@ -70,18 +78,21 @@ double dmb::stonewallAverage(const SubtaskResult &R) {
   size_t K = boundaryIndexFor(MinFinish, R.Interval);
   uint64_t Ops = 0;
   for (const ProcessTrace &P : R.Processes)
-    Ops += P.cumulativeAt(K - 1);
+    Ops += P.OpsPerInterval.cumulativeAt(K - 1);
   double T = static_cast<double>(K) * toSeconds(R.Interval);
   return T > 0 ? static_cast<double>(Ops) / T : 0;
 }
 
 double dmb::averageForFixedOps(const SubtaskResult &R, uint64_t Ops) {
-  size_t NumIntervals = R.numIntervals();
+  std::vector<uint64_t> Totals(R.numIntervals(), 0);
+  for (const ProcessTrace &P : R.Processes) {
+    size_t I = P.OpsPerInterval.firstStored();
+    for (uint64_t Ops : P.OpsPerInterval.stored())
+      Totals[I++] += Ops;
+  }
   uint64_t Cumulative = 0;
-  for (size_t I = 0; I < NumIntervals; ++I) {
-    for (const ProcessTrace &P : R.Processes)
-      if (I < P.OpsPerInterval.size())
-        Cumulative += P.OpsPerInterval[I];
+  for (size_t I = 0; I < Totals.size(); ++I) {
+    Cumulative += Totals[I];
     if (Cumulative >= Ops) {
       double T = static_cast<double>(I + 1) * toSeconds(R.Interval);
       // Listing 3.5 semantics: the average covers the *first Ops
@@ -156,8 +167,12 @@ std::string dmb::canonicalResultText(const ResultSet &R) {
                  (unsigned long long)P.TotalOps,
                  (unsigned long long)P.FailedRequests,
                  toSeconds(P.FinishOffset));
+      // The cumulative count is 0 up to the first stored bucket.
+      const IntervalLog &Log = P.OpsPerInterval;
+      for (size_t I = 0; I != Log.firstStored(); ++I)
+        Line += "0,";
       uint64_t Cum = 0;
-      for (uint64_t N : P.OpsPerInterval) {
+      for (uint64_t N : Log.stored()) {
         Cum += N;
         Line += format("%llu,", (unsigned long long)Cum);
       }

@@ -10,13 +10,6 @@
 
 using namespace dmb;
 
-uint64_t ProcessTrace::cumulativeAt(size_t Index) const {
-  uint64_t Sum = 0;
-  for (size_t I = 0; I <= Index && I < OpsPerInterval.size(); ++I)
-    Sum += OpsPerInterval[I];
-  return Sum;
-}
-
 uint64_t SubtaskResult::totalOps() const {
   uint64_t Sum = 0;
   for (const ProcessTrace &P : Processes)

@@ -26,8 +26,8 @@ ProcessTrace makeTrace(unsigned Ordinal, std::vector<uint64_t> Buckets,
   P.Rank = static_cast<int>(Ordinal + 1);
   P.Ordinal = Ordinal;
   P.Hostname = "node" + std::to_string(Ordinal);
-  P.OpsPerInterval = std::move(Buckets);
-  for (uint64_t B : P.OpsPerInterval)
+  P.OpsPerInterval = IntervalLog(Buckets);
+  for (uint64_t B : Buckets)
     P.TotalOps += B;
   P.FinishOffset = Finish;
   return P;

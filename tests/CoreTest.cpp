@@ -292,8 +292,8 @@ TEST(Core, TimeLogBucketsAndCumulative) {
   EXPECT_EQ(2u, Log.opsPerInterval()[0]);
   EXPECT_EQ(0u, Log.opsPerInterval()[1]);
   EXPECT_EQ(1u, Log.opsPerInterval()[2]);
-  EXPECT_EQ(2u, Log.cumulativeAt(0));
-  EXPECT_EQ(3u, Log.cumulativeAt(2));
+  EXPECT_EQ(2u, Log.opsPerInterval().cumulativeAt(0));
+  EXPECT_EQ(3u, Log.opsPerInterval().cumulativeAt(2));
   EXPECT_EQ(3u, Log.totalOps());
   EXPECT_EQ(milliseconds(300), Log.finishOffset());
 }

@@ -54,7 +54,7 @@ TEST_P(PluginSweepTest, ExactCountsOverTheWholePlan) {
           << Op << " " << Sub.NumNodes << "x" << Sub.PerNode;
       // Consistency of the trace itself.
       uint64_t Summed = 0;
-      for (uint64_t B : Proc.OpsPerInterval)
+      for (uint64_t B : Proc.OpsPerInterval.stored())
         Summed += B;
       EXPECT_EQ(Proc.TotalOps, Summed);
     }

@@ -20,12 +20,13 @@
 #      reproduce the committed BENCH_E30.json / BENCH_E31.json,
 #   7. the perfbench work ledger: one lifecycle of each benchmark
 #      workload at seed 0 must reproduce perfbench/ledger.json exactly
-#      (the same loop as CI's checks.yml),
-#   8. the trace, fault, hash-table, inode-table and directory-index
-#      tests rebuilt under ASan+UBSan (always — the trace layer threads
-#      ids through every queue, the retry path keeps each RPC record
-#      alive across superseded attempts, and the open-addressing table
-#      shifts slots on every erase; all must stay memory-clean),
+#      (CI runs it, and verify-schedules, only through this script),
+#   8. the trace, fault, hash-table, inode-table, directory-index and
+#      interval-log tests rebuilt under ASan+UBSan (always — the trace
+#      layer threads ids through every queue, the retry path keeps each
+#      RPC record alive across superseded attempts, the open-addressing
+#      table shifts slots on every erase, and the interval log indexes a
+#      tail behind an offset; all must stay memory-clean),
 #   9. (optionally) the full suite rebuilt under sanitizers.
 #
 # Exits nonzero on the first failure. Usage:
@@ -50,7 +51,7 @@ while [ $# -gt 0 ]; do
     -j) JOBS="$2"; shift ;;
     -j*) JOBS="${1#-j}" ;;
     -h|--help)
-      sed -n '2,36p' "$0"; exit 0 ;;
+      sed -n '2,37p' "$0"; exit 0 ;;
     *) echo "run_checks.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
   shift
@@ -142,14 +143,16 @@ else
   # backward-shift erase moves slots and values around a wrapping probe
   # run — exactly the kind of code where lifetime and out-of-bounds bugs
   # hide. The FlatIndex differential tests, the inode-table tests and
-  # the directory-index and path-walk tests cover the table and its users.
-  step "trace, fault, table and directory tests under ASan+UBSan (build-sanitize/)"
+  # the directory-index and path-walk tests cover the table and its users;
+  # the interval-log tests cover the sparse per-process result logs.
+  step "trace, fault, table, directory and interval-log tests under ASan+UBSan (build-sanitize/)"
   cmake -B "$ROOT/build-sanitize" -S "$ROOT" \
         -DDMB_SANITIZE="address,undefined" >/dev/null
   cmake --build "$ROOT/build-sanitize" -j "$JOBS" \
-        --target trace_test fault_test flat_index_test fs_test path_walk_test
+        --target trace_test fault_test flat_index_test fs_test path_walk_test \
+        interval_log_test
   ctest --test-dir "$ROOT/build-sanitize" --output-on-failure -j "$JOBS" \
-        -R '^Trace|^Fault|^Network|^FlatIndex\.|^FsInodes\.|DirIndexParamTest|PathWalkTest'
+        -R '^Trace|^Fault|^Network|^FlatIndex\.|^FsInodes\.|DirIndexParamTest|PathWalkTest|^IntervalLog'
 fi
 
 echo
