@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "dfs/FileServer.h"
+#include "dfs/PartitionMap.h"
 #include "sim/HappensBefore.h"
 #include "sim/Trace.h"
 #include "support/Assert.h"
 #include <algorithm>
-#include <iterator>
 
 using namespace dmb;
 
@@ -269,12 +269,37 @@ MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
   return Reply;
 }
 
+/// The reply to a request for a volume this server does not hold.
+static MetaReply staleReply() {
+  MetaReply R;
+  R.Err = FsError::Stale;
+  return R;
+}
+
 MetaReply FileServer::admit(uint32_t VolId, const MetaRequest &Req,
                             Admission &A) {
   // Request arrival at the server: from here until the CPU picks it up the
   // operation is queueing, not being serviced.
   Sched.traceStamp(TracePoint::QueueEnter);
   LocalFileSystem *Vol = volume(VolId);
+  // Duplicate-request cache lookup (\S 2.6.4 retransmit semantics): a
+  // resilient client reuses its (ClientId, Xid) on every retransmit, so a
+  // request found here already executed — answer with the original reply
+  // instead of double-applying. Only xid-stamped requests can match; the
+  // fire-and-forget path never reaches this map.
+  const DrcEntry *Hit = nullptr;
+  if (Vol && Req.Xid != 0 && Req.ClientId != 0 &&
+      Config.DuplicateRequestCacheSize) {
+    uint64_t Key = drcKey(Req);
+    Hit = Drc.find(keyView(Key));
+  }
+  // Execute at arrival: the CPU queue is FIFO, so arrival order equals
+  // service order and state changes serialize exactly as on a real server.
+  // (One reply object on every path, so it is built in place.)
+  OpCost Cost;
+  MetaReply Reply = (Hit   ? Hit->Reply
+                     : Vol ? execute(*Vol, Req, Sched.now(), Cost)
+                           : staleReply());
   if (!Vol) {
     // Unknown volume: the distributed-handle equivalent of ESTALE. The
     // request is rejected at arrival without touching the CPU, so its
@@ -283,31 +308,16 @@ MetaReply FileServer::admit(uint32_t VolId, const MetaRequest &Req,
     Sched.traceStamp(TracePoint::ServiceStart);
     Sched.traceStamp(TracePoint::ServiceEnd);
     A.Rejected = true;
-    MetaReply Reply;
-    Reply.Err = FsError::Stale;
+    return Reply;
+  }
+  if (Hit) {
+    ++DrcHits;
+    ++Processed;
+    DMB_HB_WRITE(Sched, Processed, "FileServer.Processed");
+    A.Service = Config.DrcHitCost;
     return Reply;
   }
 
-  // Duplicate-request cache lookup (\S 2.6.4 retransmit semantics): a
-  // resilient client reuses its (ClientId, Xid) on every retransmit, so a
-  // request found here already executed — answer with the original reply
-  // instead of double-applying. Only xid-stamped requests can match; the
-  // fire-and-forget path never reaches this map.
-  if (Req.Xid != 0 && Req.ClientId != 0 && Config.DuplicateRequestCacheSize) {
-    auto It = Drc.find(drcKey(Req));
-    if (It != Drc.end()) {
-      ++DrcHits;
-      ++Processed;
-      DMB_HB_WRITE(Sched, Processed, "FileServer.Processed");
-      A.Service = Config.DrcHitCost;
-      return It->second.Reply;
-    }
-  }
-
-  // Execute at arrival: the CPU queue is FIFO, so arrival order equals
-  // service order and state changes serialize exactly as on a real server.
-  OpCost Cost;
-  MetaReply Reply = execute(*Vol, Req, Sched.now(), Cost);
   // Only successful mutations dirty the NVRAM log: a failed create writes
   // nothing back, so it must not grow the dirty set or drag the next
   // consistency point forward.
@@ -341,8 +351,8 @@ MetaReply FileServer::admit(uint32_t VolId, const MetaRequest &Req,
   // error, not the outcome of a second execution.
   if (Req.Xid != 0 && Req.ClientId != 0 && Config.DuplicateRequestCacheSize &&
       drcCacheable(Req.Op))
-    drcInsert(drcKey(Req),
-              DrcEntry{Req.Op, Reply, Req.Path, VolId, A.JournalSeqPlus1});
+    drcInsert(DrcEntry{drcKey(Req), Req.Op, Reply, Req.Path, VolId,
+                       A.JournalSeqPlus1});
   if (JitterMean > 0) {
     // Mostly small per-request extras with an occasional heavy hit.
     double Extra = JitterRng.exponential(static_cast<double>(JitterMean));
@@ -375,21 +385,12 @@ void FileServer::charge(const Admission &A, Scheduler::Action Committed) {
     // reaches this record (log-prefix rule): a 4-thread CPU finishes
     // service out of append order, and acking a dependent op whose
     // predecessor's record is still in flight lets a crash commit the
-    // dependent without the predecessor. Park the ack; the onCommit hook
-    // (or the crash sweep, for discarded records) releases it.
-    Committed = [this, Seq = A.JournalSeqPlus1 - 1,
-                 Inner = std::move(Committed)]() mutable {
-      if (Journal->isDiscarded(Seq)) {
-        // Crashed before the stable write finished: the record is gone,
-        // but the reply still travels (it models a message the server
-        // sent before it lost the op's durability, the E29
-        // acked-but-lost window).
-        Inner();
-        return;
-      }
-      HeldCommitAcks.emplace(Seq, std::move(Inner));
-      Journal->commit(Seq);
-    };
+    // dependent without the predecessor. Hold the ack under the record's
+    // seq; stableWriteDone() parks it, and the onCommit hook (or the crash
+    // sweep, for discarded records) releases it.
+    uint64_t Seq = A.JournalSeqPlus1 - 1;
+    HeldCommitAcks.insert(Seq, HeldAck{std::move(Committed)});
+    Committed = [this, Seq]() { stableWriteDone(Seq); };
   }
   if (A.AdmitAt >= 0) {
     Sched.at(A.AdmitAt, [this, Service = A.Service,
@@ -401,16 +402,33 @@ void FileServer::charge(const Admission &A, Scheduler::Action Committed) {
   Cpu.request(A.Service, std::move(Committed));
 }
 
+void FileServer::stableWriteDone(uint64_t Seq) {
+  HeldAck *H = HeldCommitAcks.find(Seq);
+  DMB_ASSERT(H && !H->Parked, "stable write finished twice");
+  if (Journal->isDiscarded(Seq)) {
+    // Crashed before the stable write finished: the record is gone, but
+    // the reply still travels (it models a message the server sent before
+    // it lost the op's durability, the E29 acked-but-lost window).
+    Scheduler::Action Ack = std::move(H->Ack);
+    HeldCommitAcks.erase(Seq);
+    Ack();
+    return;
+  }
+  H->Parked = true;
+  Journal->commit(Seq);
+}
+
 void FileServer::enableJournal() {
   if (Journal)
     return;
   Journal = std::make_unique<MetadataJournal>();
   Journal->onCommit([this](uint64_t Seq) {
-    auto It = HeldCommitAcks.find(Seq);
-    if (It == HeldCommitAcks.end())
+    HeldAck *H = HeldCommitAcks.find(Seq);
+    if (!H)
       return; // committed directly (server-internal execDirect records)
-    Scheduler::Action Ack = std::move(It->second);
-    HeldCommitAcks.erase(It);
+    DMB_ASSERT(H->Parked, "journal record committed before its stable write");
+    Scheduler::Action Ack = std::move(H->Ack);
+    HeldCommitAcks.erase(Seq);
     Ack();
   });
 }
@@ -429,14 +447,16 @@ uint64_t FileServer::crashAndRecover(const std::string &Volume) {
   uint64_t Lost = Journal->discardUncommitted(Volume);
   // Release the parked acks of discarded records (in seq order): their
   // replies race the crash exactly as an in-service op's reply does, and
-  // resilient clients re-execute via retransmission either way.
-  for (auto It = HeldCommitAcks.begin(); It != HeldCommitAcks.end();) {
-    if (!Journal->isDiscarded(It->first)) {
-      ++It;
+  // resilient clients re-execute via retransmission either way. Acks
+  // still in service are released by stableWriteDone(). Each step
+  // re-reads the window: a released ack may hold new requests.
+  for (uint64_t Seq = HeldCommitAcks.firstId(); Seq < HeldCommitAcks.endId();
+       ++Seq) {
+    HeldAck *H = HeldCommitAcks.find(Seq);
+    if (!H || !H->Parked || !Journal->isDiscarded(Seq))
       continue;
-    }
-    Scheduler::Action Ack = std::move(It->second);
-    It = HeldCommitAcks.erase(It);
+    Scheduler::Action Ack = std::move(H->Ack);
+    HeldCommitAcks.erase(Seq);
     Ack();
   }
   FsConfig VolConfig = Vol->config();
@@ -449,66 +469,145 @@ uint64_t FileServer::crashAndRecover(const std::string &Volume) {
   // still the truth), everything else for this volume dies with it. A
   // retransmit of a discarded op then misses here and re-executes against
   // the recovered store — applied exactly once overall.
-  for (auto It = Drc.begin(); It != Drc.end();) {
-    const DrcEntry &E = It->second;
+  std::vector<uint64_t> Pruned;
+  Drc.forEach([&](const DrcEntry &E) {
     bool Survives = E.VolId != VolId ||
                     (E.SeqPlus1 != 0 && Journal->isCommitted(E.SeqPlus1 - 1));
-    It = Survives ? std::next(It) : Drc.erase(It);
-  }
+    if (!Survives)
+      Pruned.push_back(E.Key);
+  });
+  for (uint64_t Key : Pruned)
+    drcErase(Key);
   // Compact the pruned keys out of the eviction queue. Left behind they
   // would accumulate across crash/recover cycles without bound, and the
   // oldest-first eviction would burn its budget erasing dead keys.
   std::erase_if(DrcEvictOrder,
-                [this](uint64_t Key) { return !Drc.contains(Key); });
+                [this](uint64_t Key) { return !Drc.find(keyView(Key)); });
   DMB_ASSERT(DrcEvictOrder.size() == Drc.size(),
              "DRC eviction queue out of sync after crash pruning");
   return Lost;
 }
 
-void FileServer::drcInsert(uint64_t Key, DrcEntry E) {
-  auto [It, Inserted] = Drc.try_emplace(Key, std::move(E));
-  if (Inserted) {
-    DrcEvictOrder.push_back(Key);
-    ++DrcInsertions;
-  } else {
+void FileServer::drcInsert(DrcEntry E) {
+  DMB_ASSERT(E.Key != 0, "DRC key 0 is the side index's null link");
+  if (DrcEntry *Old = Drc.find(keyView(E.Key))) {
     // A re-execution of a key that is still cached (a retransmit racing a
     // crash-pruned sibling, or a migrated entry landing again) refreshes
     // the entry in place. Re-pushing the key would leave a duplicate in
     // the eviction queue, and the oldest-first eviction would later erase
     // the live entry when it reaches the stale first push.
-    It->second = std::move(E);
+    drcUnlink(*Old);
+    *Old = std::move(E);
+    drcLink(*Old);
+  } else {
+    uint64_t Key = E.Key;
+    Drc.insertOrAssign(std::move(E));
+    drcLink(*Drc.find(keyView(Key)));
+    DrcEvictOrder.push_back(Key);
+    ++DrcInsertions;
   }
   while (Drc.size() > Config.DuplicateRequestCacheSize &&
          !DrcEvictOrder.empty()) {
-    Drc.erase(DrcEvictOrder.front());
+    drcErase(DrcEvictOrder.front());
     DrcEvictOrder.pop_front();
   }
   DMB_ASSERT(DrcEvictOrder.size() == Drc.size(),
              "DRC eviction queue out of sync after insert");
 }
 
+void FileServer::drcErase(uint64_t Key) {
+  FlatIndex<DrcEntry, DrcKeyOf, DrcKeyHash>::Found F =
+      Drc.locate(keyView(Key));
+  if (!F)
+    return;
+  drcUnlink(*F.Value);
+  // Unlinking touches only other entries' links: F is still current.
+  Drc.erase(F);
+}
+
+void FileServer::drcLink(DrcEntry &E) {
+  PartitionMap::ParsedPath P;
+  if (!PartitionMap::parse(E.Path, P) || P.Leaf.empty())
+    return;
+  E.Grouped = true;
+  E.GroupToken = P.Token;
+  E.GroupPartition = P.Partition;
+  E.GroupPrev = 0;
+  DrcGroup G;
+  drcGroupId(G.Id, E.VolId, P.Token, P.Partition);
+  DrcGroup *Head = DrcGroups.find({G.Id, sizeof G.Id});
+  if (!Head) {
+    G.Head = 0;
+    DrcGroups.insertOrAssign(G);
+    Head = DrcGroups.find({G.Id, sizeof G.Id});
+  }
+  E.GroupNext = Head->Head;
+  if (E.GroupNext)
+    Drc.find(keyView(E.GroupNext))->GroupPrev = E.Key;
+  Head->Head = E.Key;
+}
+
+void FileServer::drcUnlink(DrcEntry &E) {
+  if (!E.Grouped)
+    return;
+  E.Grouped = false;
+  if (E.GroupNext)
+    Drc.find(keyView(E.GroupNext))->GroupPrev = E.GroupPrev;
+  if (E.GroupPrev) {
+    Drc.find(keyView(E.GroupPrev))->GroupNext = E.GroupNext;
+    return;
+  }
+  // E heads its list.
+  char Id[16];
+  drcGroupId(Id, E.VolId, E.GroupToken, E.GroupPartition);
+  auto G = DrcGroups.locate({Id, sizeof Id});
+  DMB_ASSERT(G && G.Value->Head == E.Key, "DRC partition list head lost");
+  if (E.GroupNext)
+    G.Value->Head = E.GroupNext;
+  else
+    DrcGroups.erase(G);
+}
+
 std::vector<FileServer::DrcExport> FileServer::extractDrcEntries(
-    uint32_t VolId, const std::function<bool(const std::string &)> &Match) {
+    uint32_t VolId, uint64_t DirToken, unsigned Partition,
+    const std::function<bool(const std::string &)> &Match) {
   std::vector<DrcExport> Out;
-  for (auto It = Drc.begin(); It != Drc.end();) {
-    DrcEntry &E = It->second;
-    if (E.VolId == VolId && Match(E.Path)) {
-      Out.push_back({It->first, E.Op, std::move(E.Reply), std::move(E.Path)});
-      It = Drc.erase(It);
-    } else {
-      ++It;
-    }
+  char Id[16];
+  drcGroupId(Id, VolId, DirToken, Partition);
+  const DrcGroup *G = DrcGroups.find({Id, sizeof Id});
+  if (!G)
+    return Out;
+  std::vector<uint64_t> Keys;
+  for (uint64_t K = G->Head; K;) {
+    const DrcEntry *E = Drc.find(keyView(K));
+    if (Match(E->Path))
+      Keys.push_back(K);
+    K = E->GroupNext;
   }
-  if (!Out.empty()) {
-    std::erase_if(DrcEvictOrder,
-                  [this](uint64_t Key) { return !Drc.contains(Key); });
-    // Map iteration order is not deterministic state; hand the caller a
-    // key-sorted view.
-    std::sort(Out.begin(), Out.end(),
-              [](const DrcExport &A, const DrcExport &B) {
-                return A.Key < B.Key;
-              });
+  if (Keys.empty())
+    return Out;
+  // List order is insertion history; hand the caller a key-sorted view.
+  std::sort(Keys.begin(), Keys.end());
+  Out.reserve(Keys.size());
+  for (uint64_t K : Keys) {
+    DrcEntry *E = Drc.find(keyView(K));
+    Out.push_back({K, E->Op, std::move(E->Reply), std::move(E->Path)});
+    drcErase(K);
   }
+  std::erase_if(DrcEvictOrder,
+                [this](uint64_t Key) { return !Drc.find(keyView(Key)); });
+  return Out;
+}
+
+std::vector<FileServer::DrcExport>
+FileServer::drcEntries(uint32_t VolId) const {
+  std::vector<DrcExport> Out;
+  Drc.forEach([&](const DrcEntry &E) {
+    if (E.VolId == VolId)
+      Out.push_back({E.Key, E.Op, E.Reply, E.Path});
+  });
+  std::sort(Out.begin(), Out.end(),
+            [](const DrcExport &A, const DrcExport &B) { return A.Key < B.Key; });
   return Out;
 }
 
@@ -517,8 +616,8 @@ void FileServer::adoptDrcEntry(uint32_t VolId, uint64_t Key, MetaOp Op,
                                uint64_t SeqPlus1) {
   if (!Config.DuplicateRequestCacheSize)
     return;
-  drcInsert(Key,
-            DrcEntry{Op, std::move(Reply), std::move(Path), VolId, SeqPlus1});
+  drcInsert(DrcEntry{Key, Op, std::move(Reply), std::move(Path), VolId,
+                     SeqPlus1});
 }
 
 bool FileServer::drcCacheable(MetaOp Op) {
@@ -563,12 +662,15 @@ void FileServer::process(const std::string &Volume, const MetaRequest &Req,
 
 void FileServer::process(uint32_t VolId, const MetaRequest &Req,
                          Callback Done) {
-  // The reply exists before the completion is built, so the completion
-  // carries it: one closure, no shared holder.
+  // The reply and its callback wait in a slot; the completion names the
+  // slot, so it fits the scheduler's inline event storage.
   Admission A;
   MetaReply Reply = admit(VolId, Req, A);
-  charge(A, [Done = std::move(Done), Reply = std::move(Reply)]() mutable {
-    Done(std::move(Reply));
+  uint32_t Slot =
+      PendingReplies.put(PendingReply{std::move(Done), std::move(Reply)});
+  charge(A, [this, Slot]() {
+    PendingReply P = PendingReplies.take(Slot);
+    P.Done(std::move(P.Reply));
   });
 }
 

@@ -22,15 +22,16 @@
 #include "fs/LocalFileSystem.h"
 #include "sim/Resource.h"
 #include "sim/Scheduler.h"
+#include "support/FlatIndex.h"
+#include "support/IdTable.h"
 #include "support/Interner.h"
 #include "support/Random.h"
+#include <cstring>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 namespace dmb {
 
@@ -187,13 +188,19 @@ public:
     MetaReply Reply;
     std::string Path;
   };
-  /// Removes and returns the entries of \p VolId whose request path
-  /// satisfies \p Match, sorted by key so unordered-map iteration order
-  /// never leaks into caller-visible state. The extracted keys leave the
-  /// eviction queue as well.
+  /// Removes and returns the entries of \p VolId whose request path names
+  /// an entry of partition \p Partition of the directory \p DirToken
+  /// ("/giga/<token>.<partition>/<leaf>", see dfs/PartitionMap.h) and
+  /// satisfies \p Match, sorted by key so hash-table order never leaks
+  /// into caller-visible state. The cache keeps a side index by (volume,
+  /// directory token, partition), so only that partition's entries are
+  /// visited. The extracted keys leave the eviction queue as well.
   std::vector<DrcExport>
-  extractDrcEntries(uint32_t VolId,
+  extractDrcEntries(uint32_t VolId, uint64_t DirToken, unsigned Partition,
                     const std::function<bool(const std::string &)> &Match);
+  /// Copies of every cached entry of \p VolId, sorted by key (for tests
+  /// and audits; not on any hot path).
+  std::vector<DrcExport> drcEntries(uint32_t VolId) const;
   /// Inserts a migrated entry under this server's \p VolId. \p SeqPlus1
   /// anchors it to a committed record of this server's journal (0 = no
   /// anchor: the entry is pruned by the next crash of the volume).
@@ -207,8 +214,9 @@ public:
   /// retransmit of an operation that executed *here* must be answered from
   /// this cache even if its entries have since migrated away.
   bool drcHolds(const MetaRequest &Req) const {
+    uint64_t Key = drcKey(Req);
     return Req.Xid != 0 && Req.ClientId != 0 &&
-           Config.DuplicateRequestCacheSize && Drc.contains(drcKey(Req));
+           Config.DuplicateRequestCacheSize && Drc.find(keyView(Key));
   }
 
   /// \name Observability
@@ -248,6 +256,10 @@ private:
   /// Completion half: queues \p Committed behind the CPU work (and the
   /// journal commit) that \p A describes.
   void charge(const Admission &A, Scheduler::Action Committed);
+  /// CPU completion of a journaled request: its stable write is done, so
+  /// its held ack waits for the journal's commit frontier (or is released
+  /// at once when a crash already discarded the record).
+  void stableWriteDone(uint64_t Seq);
 
   void noteMutation(const MetaRequest &Req);
   void maybeStartConsistencyPoint();
@@ -300,12 +312,25 @@ private:
 
   // Journaling (\S 2.7) and change notification (\S 2.8.3).
   std::unique_ptr<MetadataJournal> Journal;
-  /// Completions whose journal record has finished its stable write but is
-  /// held behind an earlier in-flight record (per-volume log-prefix rule).
-  /// Keyed by journal seq; released in commit order by the journal's
-  /// onCommit hook, or swept at crashAndRecover() for discarded records.
-  /// Ordered map: the crash sweep must release in deterministic order.
-  std::map<uint64_t, Scheduler::Action> HeldCommitAcks;
+  /// Completions of journaled requests, by journal seq, from charge()
+  /// until the record commits. Parked once the stable write has finished
+  /// (the CPU completed the request) while the record waits behind an
+  /// earlier in-flight record (per-volume log-prefix rule). Released in
+  /// commit order by the journal's onCommit hook, or swept in seq order at
+  /// crashAndRecover() for discarded records. The scheduled CPU completion
+  /// names the seq, so it never wraps the completion it releases.
+  struct HeldAck {
+    Scheduler::Action Ack;
+    bool Parked = false; ///< stable write finished
+  };
+  IdTable<HeldAck> HeldCommitAcks;
+  /// A reply and its callback between admission and the CPU completion of
+  /// process(); the completion captures the slot index.
+  struct PendingReply {
+    Callback Done;
+    MetaReply Reply;
+  };
+  SlotTable<PendingReply> PendingReplies;
   std::vector<std::function<void(const std::string &, const MetaRequest &)>>
       Watchers;
 
@@ -313,17 +338,74 @@ private:
   // key exactly once — inserts refresh in place instead of re-pushing, and
   // crash pruning / migration extraction compact their keys out — so the
   // queue is bounded by the cache capacity.
+  //
+  // Entries sit in a FlatIndex keyed by the 8 bytes of their key. Entries
+  // whose path names an entry of a partition directory also sit in a
+  // doubly-linked list (by key) per (volume, directory token, partition),
+  // whose head lives in DrcGroups: a split extracts its partition's
+  // entries without scanning the cache.
   struct DrcEntry {
+    uint64_t Key = 0;
     MetaOp Op = MetaOp::Stat; ///< decides migration eligibility
     MetaReply Reply;
     std::string Path;      ///< request path, keys migration extraction
     uint32_t VolId = 0;
     uint64_t SeqPlus1 = 0; ///< journal seq + 1; 0 = not journaled
+    /// \name Partition side index (Grouped = in a partition's list)
+    /// @{
+    bool Grouped = false;
+    uint32_t GroupPartition = 0;
+    uint64_t GroupToken = 0;
+    uint64_t GroupPrev = 0; ///< neighbour keys; 0 = none
+    uint64_t GroupNext = 0;
+    /// @}
   };
-  /// Caches \p E under \p Key (refreshing in place when present) and
+  static std::string_view keyView(const uint64_t &Key) {
+    return {reinterpret_cast<const char *>(&Key), sizeof Key};
+  }
+  struct DrcKeyOf {
+    std::string_view operator()(const DrcEntry &E) const {
+      return keyView(E.Key);
+    }
+  };
+  /// Hash of a key stored as its 8 bytes (one multiply, no byte loop).
+  struct DrcKeyHash {
+    size_t operator()(std::string_view K) const {
+      uint64_t V = 0;
+      std::memcpy(&V, K.data(), K.size() < sizeof V ? K.size() : sizeof V);
+      V *= 0x9e3779b97f4a7c15ULL;
+      return static_cast<size_t>(V ^ (V >> 29));
+    }
+  };
+  /// Head of one partition's list: the key bytes are the directory token,
+  /// the volume id and the partition.
+  struct DrcGroup {
+    char Id[16];
+    uint64_t Head = 0;
+  };
+  struct DrcGroupOf {
+    std::string_view operator()(const DrcGroup &G) const {
+      return {G.Id, sizeof G.Id};
+    }
+  };
+  static void drcGroupId(char (&Out)[16], uint32_t VolId, uint64_t Token,
+                         uint32_t Partition) {
+    std::memcpy(Out, &Token, 8);
+    std::memcpy(Out + 8, &VolId, 4);
+    std::memcpy(Out + 12, &Partition, 4);
+  }
+  /// Caches \p E under E.Key (refreshing in place when present) and
   /// evicts oldest-first down to the configured capacity.
-  void drcInsert(uint64_t Key, DrcEntry E);
-  std::unordered_map<uint64_t, DrcEntry> Drc;
+  void drcInsert(DrcEntry E);
+  /// Removes the entry keyed \p Key from the cache and its partition
+  /// list (not from DrcEvictOrder).
+  void drcErase(uint64_t Key);
+  /// Puts \p E in its partition's list when its path names a partition
+  /// entry.
+  void drcLink(DrcEntry &E);
+  void drcUnlink(DrcEntry &E);
+  FlatIndex<DrcEntry, DrcKeyOf, DrcKeyHash> Drc;
+  FlatIndex<DrcGroup, DrcGroupOf> DrcGroups;
   std::deque<uint64_t> DrcEvictOrder;
   uint64_t DrcHits = 0;
   uint64_t DrcInsertions = 0;

@@ -7,6 +7,7 @@
 #include "dfs/Journal.h"
 #include "dfs/FileServer.h"
 #include "support/Assert.h"
+#include <new>
 
 using namespace dmb;
 
@@ -32,96 +33,153 @@ bool MetadataJournal::isJournalable(const MetaRequest &Req) {
   }
 }
 
-std::optional<uint64_t> MetadataJournal::append(const std::string &Volume,
+std::optional<uint64_t> MetadataJournal::append(std::string_view Volume,
                                                 const MetaRequest &Req,
                                                 SimTime Now) {
   if (!isJournalable(Req))
     return std::nullopt;
-  Record R;
-  R.Seq = NextSeq++;
-  R.Volume = Volume;
-  R.Req = Req;
-  R.At = Now;
-  Records.push_back(std::move(R));
-  return Records.back().Seq;
+  uint32_t Vol = Volumes.intern(Volume);
+  if (Vol >= Frontier.size())
+    Frontier.resize(Vol + 1, 0);
+  if (Count == Capacity) {
+    size_t N = chunkSize(Chunks.size());
+    Chunks.push_back(static_cast<Record *>(::operator new(N * sizeof(Record))));
+    Capacity += N;
+  }
+  Record *R = ::new (&record(Count)) Record;
+  R->Volume = Vol;
+  R->Op = Req.Op;
+  R->Creds = Req.Creds;
+  R->Flags = Req.Flags;
+  R->Mode = Req.Mode;
+  R->Uid = Req.Uid;
+  R->Gid = Req.Gid;
+  R->Atime = Req.Atime;
+  R->Mtime = Req.Mtime;
+  R->At = Now;
+  R->Path = Req.Path;
+  if (!Req.Path2.empty() || !Req.Value.empty()) {
+    Extras.emplace_back(Req.Path2, Req.Value);
+    R->Extra = static_cast<uint32_t>(Extras.size());
+  }
+  return ++Count;
+}
+
+MetaRequest MetadataJournal::request(const Record &R) const {
+  MetaRequest Req;
+  Req.Op = R.Op;
+  Req.Creds = R.Creds;
+  Req.Flags = R.Flags;
+  Req.Mode = R.Mode;
+  Req.Uid = R.Uid;
+  Req.Gid = R.Gid;
+  Req.Atime = R.Atime;
+  Req.Mtime = R.Mtime;
+  Req.Path = R.Path;
+  if (R.Extra) {
+    Req.Path2 = Extras[R.Extra - 1].first;
+    Req.Value = Extras[R.Extra - 1].second;
+  }
+  return Req;
+}
+
+MetadataJournal::~MetadataJournal() {
+  for (size_t I = 0; I < Count; ++I)
+    record(I).~Record();
+  for (Record *Chunk : Chunks)
+    ::operator delete(Chunk);
 }
 
 void MetadataJournal::commit(uint64_t Seq) {
   // Sequence numbers are dense and 1-based.
-  if (Seq == 0 || Seq > Records.size())
+  if (Seq == 0 || Seq > Count)
     return;
-  Record &R = Records[Seq - 1];
+  Record &R = record(Seq - 1);
   if (R.Discarded || R.Persisted)
     return;
   R.Persisted = true;
   advanceFrontier(R.Volume);
 }
 
-void MetadataJournal::advanceFrontier(const std::string &Volume) {
-  size_t &I = Frontier[Volume];
-  while (I < Records.size()) {
-    // Re-index each iteration: the hook may append records (growing the
-    // vector) before control returns here.
-    Record &R = Records[I];
+void MetadataJournal::advanceFrontier(uint32_t Volume) {
+  // Re-read the frontier slot on every step: the hook may append records,
+  // including the first record of a new volume, which grows Frontier.
+  while (Frontier[Volume] < Count) {
+    Record &R = record(Frontier[Volume]);
     if (R.Volume != Volume || R.Discarded || R.Committed) {
-      ++I;
+      ++Frontier[Volume];
       continue;
     }
     if (!R.Persisted)
       break; // hole: later persisted records stay held
     R.Committed = true;
-    uint64_t Seq = R.Seq;
-    ++I;
+    uint64_t Seq = ++Frontier[Volume]; // the record's position + 1
     if (CommitHook)
       CommitHook(Seq);
   }
 }
 
-size_t MetadataJournal::discardUncommitted(const std::string &Volume) {
+size_t MetadataJournal::discardUncommitted(std::string_view Volume) {
+  uint32_t Vol = Volumes.find(Volume);
+  if (Vol == Interner::None)
+    return 0;
   size_t N = 0;
-  for (Record &R : Records)
-    if (!R.Committed && !R.Discarded && R.Volume == Volume) {
+  for (size_t I = 0; I < Count; ++I) {
+    Record &R = record(I);
+    if (!R.Committed && !R.Discarded && R.Volume == Vol) {
       R.Discarded = true;
       ++N;
     }
+  }
   return N;
 }
 
 void MetadataJournal::commitAll() {
-  for (Record &R : Records)
+  for (size_t I = 0; I < Count; ++I) {
+    Record &R = record(I);
     if (!R.Discarded) {
       R.Persisted = true;
       R.Committed = true;
     }
+  }
 }
 
 size_t MetadataJournal::committedCount() const {
   size_t N = 0;
-  for (const Record &R : Records)
-    if (R.Committed)
+  for (size_t I = 0; I < Count; ++I)
+    if (record(I).Committed)
       ++N;
   return N;
 }
 
-size_t MetadataJournal::uncommittedCount(const std::string &Volume) const {
+size_t MetadataJournal::uncommittedCount(std::string_view Volume) const {
+  uint32_t Vol = Volumes.find(Volume);
+  if (Vol == Interner::None)
+    return 0;
   size_t N = 0;
-  for (const Record &R : Records)
-    if (!R.Committed && !R.Discarded && R.Volume == Volume)
+  for (size_t I = 0; I < Count; ++I) {
+    const Record &R = record(I);
+    if (!R.Committed && !R.Discarded && R.Volume == Vol)
       ++N;
+  }
   return N;
 }
 
-void MetadataJournal::replay(const std::string &Volume,
+void MetadataJournal::replay(std::string_view Volume,
                              LocalFileSystem &Fs) const {
-  for (const Record &R : Records) {
-    if (!R.Committed || R.Volume != Volume)
+  uint32_t Vol = Volumes.find(Volume);
+  if (Vol == Interner::None)
+    return;
+  for (size_t I = 0; I < Count; ++I) {
+    const Record &R = record(I);
+    if (!R.Committed || R.Volume != Vol)
       continue;
     OpCost Cost;
-    MetaReply Reply = FileServer::execute(Fs, R.Req, R.At, Cost);
+    MetaReply Reply = FileServer::execute(Fs, request(R), R.At, Cost);
     // A successful creating open leaves a handle; close it right away.
-    if (R.Req.Op == MetaOp::Open && Reply.ok()) {
+    if (R.Op == MetaOp::Open && Reply.ok()) {
       OpCtx Ctx;
-      Ctx.Creds = R.Req.Creds;
+      Ctx.Creds = R.Creds;
       Ctx.Now = R.At;
       [[maybe_unused]] FsError CloseErr = Fs.close(Ctx, Reply.Fh);
       DMB_ASSERT(CloseErr == FsError::Ok,

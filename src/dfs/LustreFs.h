@@ -95,7 +95,7 @@ public:
   /// The write-behind queue, when one is mounted (legacy WritebackMetadata
   /// or ClientConfig::WriteBehind). nullptr on a synchronous client.
   const WriteBehindQueue *writeBehind() const {
-    return WB ? &*WB : nullptr;
+    return WB.get();
   }
 
 private:
@@ -107,7 +107,7 @@ private:
   LustreOptions Options;
   unsigned NodeIndex;
   AttrCache Cache;
-  std::optional<WriteBehindQueue> WB;
+  std::unique_ptr<WriteBehindQueue> WB;
 };
 
 } // namespace dmb

@@ -86,7 +86,7 @@ public:
 
   /// The write-behind queue, when ClientConfig::WriteBehind enabled one.
   const WriteBehindQueue *writeBehind() const {
-    return WB ? &*WB : nullptr;
+    return WB.get();
   }
 
 private:
@@ -99,7 +99,7 @@ private:
   NfsOptions Options;
   unsigned NodeIndex;
   AttrCache Cache;
-  std::optional<WriteBehindQueue> WB;
+  std::unique_ptr<WriteBehindQueue> WB;
 };
 
 } // namespace dmb

@@ -6,8 +6,8 @@
 
 #include "dfs/PartitionMap.h"
 #include "support/Assert.h"
-#include "support/Format.h"
 #include <bit>
+#include <cstring>
 
 using namespace dmb;
 
@@ -30,8 +30,29 @@ unsigned PartitionMap::partitionOf(uint64_t Hash, uint64_t Bitmap) {
 
 std::string PartitionMap::partitionDirName(uint64_t Token,
                                            unsigned Partition) {
-  return format("/giga/%016llx.%u", static_cast<unsigned long long>(Token),
-                Partition);
+  std::string Out;
+  appendPartitionDirName(Out, Token, Partition);
+  return Out;
+}
+
+void PartitionMap::appendPartitionDirName(std::string &Out, uint64_t Token,
+                                          unsigned Partition) {
+  // "/giga/%016llx.%u", spelled out: this runs once per routed request.
+  static constexpr char Hex[] = "0123456789abcdef";
+  char Buf[6 + 16 + 1 + 10];
+  std::memcpy(Buf, "/giga/", 6);
+  for (unsigned I = 0; I < 16; ++I)
+    Buf[6 + I] = Hex[(Token >> (60 - 4 * I)) & 0xf];
+  Buf[22] = '.';
+  char Digits[10];
+  unsigned N = 0;
+  do {
+    Digits[N++] = static_cast<char>('0' + Partition % 10);
+    Partition /= 10;
+  } while (Partition);
+  for (unsigned I = 0; I < N; ++I)
+    Buf[23 + I] = Digits[N - 1 - I];
+  Out.append(Buf, 23 + N);
 }
 
 bool PartitionMap::parse(std::string_view PhysPath, ParsedPath &Out) {
@@ -63,15 +84,15 @@ bool PartitionMap::parse(std::string_view PhysPath, ParsedPath &Out) {
   if (I == 0 || Partition >= MaxPartitions)
     return false;
   if (I == Rest.size()) {
-    Out = {Token, Partition, std::string()};
+    Out = {Token, Partition, std::string_view()};
     return true;
   }
   if (Rest[I] != '/' || I + 1 == Rest.size())
     return false;
-  std::string Leaf(Rest.substr(I + 1));
-  if (Leaf.find('/') != std::string::npos)
+  std::string_view Leaf = Rest.substr(I + 1);
+  if (Leaf.find('/') != std::string_view::npos)
     return false;
-  Out = {Token, Partition, std::move(Leaf)};
+  Out = {Token, Partition, Leaf};
   return true;
 }
 

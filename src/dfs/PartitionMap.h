@@ -71,13 +71,17 @@ public:
   /// Physical path of partition \p Partition of the directory \p Token:
   /// "/giga/<token as 16 hex digits>.<partition>".
   static std::string partitionDirName(uint64_t Token, unsigned Partition);
+  /// Appends partitionDirName(\p Token, \p Partition) to \p Out, without
+  /// a temporary.
+  static void appendPartitionDirName(std::string &Out, uint64_t Token,
+                                     unsigned Partition);
 
   /// A parsed physical path. Leaf is empty when the path names the
-  /// partition directory itself.
+  /// partition directory itself; it views the parsed string.
   struct ParsedPath {
     uint64_t Token = 0;
     unsigned Partition = 0;
-    std::string Leaf;
+    std::string_view Leaf;
   };
   /// Parses "/giga/<hex16>.<p>[/<leaf>]". Returns false for anything else
   /// (such paths bypass the partition machinery untranslated).

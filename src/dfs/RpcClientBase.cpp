@@ -27,7 +27,7 @@ void RpcClientBase::serveAt(FileServer &Server, uint32_t VolId, CallRef C) {
                                 });
 }
 
-void RpcClientBase::mountWriteBehind(std::optional<WriteBehindQueue> &WB,
+void RpcClientBase::mountWriteBehind(std::unique_ptr<WriteBehindQueue> &WB,
                                      const WriteBehindPolicy &Policy,
                                      WriteBehindHooks::IssueFn Issue,
                                      FileServer *Eager, uint32_t VolId,
@@ -43,5 +43,5 @@ void RpcClientBase::mountWriteBehind(std::optional<WriteBehindQueue> &WB,
       return Eager->processEager(VolId, R, std::move(Committed));
     };
   Hooks.Cache = Cache;
-  WB.emplace(Sched, Policy, std::move(Hooks));
+  WB = std::make_unique<WriteBehindQueue>(Sched, Policy, std::move(Hooks));
 }

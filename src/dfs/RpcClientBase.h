@@ -46,7 +46,10 @@
 #include "sim/Network.h"
 #include "sim/Scheduler.h"
 #include "sim/Trace.h"
-#include <optional>
+#include "support/FifoRing.h"
+#include <concepts>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -158,11 +161,12 @@ protected:
         G->onGranted(this, Next.Trace);
       // The slot transfers to the queued request, which belongs to a
       // different operation than the one whose completion freed the slot.
+      // Its NetOut hop fires at this instant, so the stamp is taken now and
+      // the queued function itself is the event: wrapping it in a closure
+      // that also stamps would outgrow the inline event storage.
       uint64_t Prev = Sched.swapActiveTrace(Next.Trace);
-      Sched.after(0, [this, Fn = std::move(Next.Fn)]() mutable {
-        Sched.traceStamp(TracePoint::NetOut);
-        Fn();
-      });
+      Sched.traceStamp(TracePoint::NetOut);
+      Sched.after(0, std::move(Next.Fn));
       Sched.swapActiveTrace(Prev);
       return;
     }
@@ -175,9 +179,13 @@ protected:
   /// the reply to \p Done. The request message spends \p SendExtra on top
   /// of the link delay (model-specific costs such as OSS object creation
   /// or VLDB lookups).
-  void rpc(const MetaRequest &Req, SimDuration SendExtra, DispatchFn Dispatch,
+  /// \p Req is copied into the record, or moved when handed over.
+  template <typename Request>
+    requires std::same_as<std::remove_cvref_t<Request>, MetaRequest>
+  void rpc(Request &&Req, SimDuration SendExtra, DispatchFn Dispatch,
            ReplyHook OnReply, ReplyCallback Done) {
-    CallRef C = newCall(Req, std::move(Dispatch), std::move(Done));
+    CallRef C = newCall(std::forward<Request>(Req), std::move(Dispatch),
+                        std::move(Done));
     C->SendExtra = SendExtra;
     C->OnReply = std::move(OnReply);
     C->HoldsSlot = true;
@@ -186,10 +194,13 @@ protected:
 
   /// One exchange for a caller that already holds a slot (a redirect loop
   /// re-issuing under it): \p Done receives the reply, the slot stays
-  /// held.
-  void transact(const MetaRequest &Req, DispatchFn Dispatch,
+  /// held. \p OnReply (may be empty) runs first, with the record. The
+  /// request moves into the record.
+  void transact(MetaRequest &&Req, DispatchFn Dispatch, ReplyHook OnReply,
                 ReplyCallback Done) {
-    transact(newCall(Req, std::move(Dispatch), std::move(Done)));
+    CallRef C = newCall(std::move(Req), std::move(Dispatch), std::move(Done));
+    C->OnReply = std::move(OnReply);
+    transact(std::move(C));
   }
 
   /// Server half for models backed by a FileServer: executes the request
@@ -238,7 +249,7 @@ protected:
   /// time, and — when \p Eager is non-null — ApplyEager applies eager-
   /// discipline ops at \p Eager under \p VolId with \p Cache kept
   /// coherent. No-op when the policy is disabled.
-  void mountWriteBehind(std::optional<WriteBehindQueue> &WB,
+  void mountWriteBehind(std::unique_ptr<WriteBehindQueue> &WB,
                         const WriteBehindPolicy &Policy,
                         WriteBehindHooks::IssueFn Issue,
                         FileServer *Eager = nullptr, uint32_t VolId = 0,
@@ -278,51 +289,14 @@ private:
     uint64_t Trace = 0; ///< trace id of the queued operation
   };
 
-  /// FIFO of requests waiting for a slot: a power-of-two ring over a
-  /// vector, starting at zero capacity. The previous std::deque allocated
-  /// its first ~0.5 KB chunk on construction — per client, which at 10^5+
-  /// mounted nodes is tens of megabytes for queues that are empty almost
-  /// always and almost everywhere.
-  class PendingRing {
-  public:
-    bool empty() const { return Count == 0; }
-    size_t size() const { return Count; }
-
-    void push(PendingRpc Rpc) {
-      if (Count == Ring.size())
-        grow();
-      Ring[(Head + Count) & (Ring.size() - 1)] = std::move(Rpc);
-      ++Count;
-    }
-
-    PendingRpc pop() {
-      PendingRpc Rpc = std::move(Ring[Head]);
-      Head = (Head + 1) & (Ring.size() - 1);
-      --Count;
-      return Rpc;
-    }
-
-  private:
-    void grow() {
-      size_t NewCap = Ring.empty() ? 4 : Ring.size() * 2;
-      std::vector<PendingRpc> Bigger(NewCap);
-      for (size_t I = 0; I < Count; ++I)
-        Bigger[I] = std::move(Ring[(Head + I) & (Ring.size() - 1)]);
-      Ring = std::move(Bigger);
-      Head = 0;
-    }
-
-    std::vector<PendingRpc> Ring;
-    size_t Head = 0;
-    size_t Count = 0;
-  };
-
-  CallRef newCall(const MetaRequest &Req, DispatchFn Dispatch,
-                  ReplyCallback Done) {
-    CallRef C(new Call{Req, MetaReply(), std::move(Done), std::move(Dispatch),
-                       ReplyHook()});
-    return C;
+  /// A record holding a copy of \p Req, or \p Req itself when moved in.
+  template <typename Request>
+  CallRef newCall(Request &&Req, DispatchFn Dispatch, ReplyCallback Done) {
+    return CallRef(new Call{std::forward<Request>(Req), MetaReply(),
+                            std::move(Done), std::move(Dispatch),
+                            ReplyHook()});
   }
+
 
   SimDuration timeoutFor(unsigned Attempt) const {
     // The backoff train is computed step-by-step in integer sim-time: a
@@ -432,7 +406,7 @@ private:
   uint64_t LastXid = 0;
   uint64_t Retransmits = 0;
   uint64_t TimedOutOps = 0;
-  PendingRing Pending;
+  FifoRing<PendingRpc> Pending; ///< requests waiting for a slot
 };
 
 } // namespace dmb

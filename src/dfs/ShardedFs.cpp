@@ -27,6 +27,14 @@ ServerConfig dmb::makeShardConfig(const std::string &Name) {
 
 ShardedOptions::ShardedOptions() : ShardDefaults(makeShardConfig()) {}
 
+/// The virtual path of the entry \p Leaf of the directory \p Dir.
+static std::string childPath(const std::string &Dir, std::string_view Leaf) {
+  std::string Out = Dir == "/" ? std::string() : Dir;
+  Out += '/';
+  Out += Leaf;
+  return Out;
+}
+
 //===----------------------------------------------------------------------===//
 // ShardedFs
 //===----------------------------------------------------------------------===//
@@ -90,8 +98,8 @@ MetaReply ShardedFs::execDirect(unsigned Shard, const MetaRequest &Req,
   MetaReply Reply = FileServer::execute(*Vol, Req, Sched.now(), Cost);
   if (Reply.ok()) {
     if (MetadataJournal *J = Shards[Shard]->journal()) {
-      if (std::optional<uint64_t> Seq =
-              J->append(volumeName(Shard), Req, Sched.now())) {
+      if (std::optional<uint64_t> Seq = J->append(
+              Shards[Shard]->volumeName(VolIds[Shard]), Req, Sched.now())) {
         // Server-internal work is durable the moment it happens: migrations
         // must not be lost while the operations that observed them survive.
         J->commit(*Seq);
@@ -107,7 +115,8 @@ uint64_t ShardedFs::journalAnchor(unsigned Shard, const MetaRequest &Req) {
   MetadataJournal *J = Shards[Shard]->journal();
   if (!J)
     return 0;
-  std::optional<uint64_t> Seq = J->append(volumeName(Shard), Req, Sched.now());
+  std::optional<uint64_t> Seq =
+      J->append(Shards[Shard]->volumeName(VolIds[Shard]), Req, Sched.now());
   if (!Seq)
     return 0;
   J->commit(*Seq);
@@ -123,12 +132,11 @@ void ShardedFs::ensurePartitionDir(uint64_t DirToken, unsigned Partition) {
 
 void ShardedFs::forward(unsigned Shard, const MetaRequest &R,
                         ReplyCallback Reply) {
-  Shards[Shard]->process(
-      VolIds[Shard], R,
-      [this, Reply = std::move(Reply)](MetaReply &&Rep) mutable {
-        Rep.MapEpoch = Map.epoch();
-        Reply(std::move(Rep));
-      });
+  uint32_t Slot = Forwarded.put(std::move(Reply));
+  Shards[Shard]->process(VolIds[Shard], R, [this, Slot](MetaReply &&Rep) {
+    Rep.MapEpoch = Map.epoch();
+    Forwarded.take(Slot)(std::move(Rep));
+  });
 }
 
 void ShardedFs::replyError(unsigned Shard, FsError Err,
@@ -160,11 +168,15 @@ void ShardedFs::dispatchAtShard(unsigned Shard, const MetaRequest &R,
   std::deque<ArrivalBatch> &Q = Ingest[Shard];
   if (Q.empty() || Q.back().When != Sched.now()) {
     Q.push_back(ArrivalBatch{Sched.now(), {}});
+    if (!SpareBatches.empty()) {
+      Q.back().Items = std::move(SpareBatches.back());
+      SpareBatches.pop_back();
+    }
     Sched.after(Options.ArrivalQuantum,
                 [this, Shard]() { flushArrivals(Shard); });
   }
   Q.back().Items.push_back(
-      PendingArrival{R, std::move(Reply), Sched.activeTrace()});
+      PendingArrival{&R, std::move(Reply), Sched.activeTrace()});
 }
 
 void ShardedFs::flushArrivals(unsigned Shard) {
@@ -181,16 +193,18 @@ void ShardedFs::flushArrivals(unsigned Shard) {
   // either order replies identically.
   std::sort(B.Items.begin(), B.Items.end(),
             [](const PendingArrival &A, const PendingArrival &C) {
-              const MetaRequest &X = A.Req, &Y = C.Req;
+              const MetaRequest &X = *A.Req, &Y = *C.Req;
               return std::tie(X.ClientId, X.Path, X.Path2, X.Op, X.Fh,
                               X.Xid) < std::tie(Y.ClientId, Y.Path, Y.Path2,
                                                 Y.Op, Y.Fh, Y.Xid);
             });
   for (PendingArrival &P : B.Items) {
     uint64_t Prev = Sched.swapActiveTrace(P.Trace);
-    dispatchNow(Shard, P.Req, std::move(P.Reply));
+    dispatchNow(Shard, *P.Req, std::move(P.Reply));
     Sched.swapActiveTrace(Prev);
   }
+  B.Items.clear();
+  SpareBatches.push_back(std::move(B.Items));
 }
 
 void ShardedFs::dispatchNow(unsigned Shard, const MetaRequest &R,
@@ -351,9 +365,7 @@ void ShardedFs::dispatchRmdir(unsigned Shard, const MetaRequest &R,
   const GigaDir *CD = nullptr;
   uint64_t ChildTok = 0;
   if (PD) {
-    std::string ChildV =
-        PD->VPath == "/" ? "/" + P.Leaf : PD->VPath + "/" + P.Leaf;
-    ChildTok = fnv1a64(ChildV);
+    ChildTok = fnv1a64(childPath(PD->VPath, P.Leaf));
     CD = Map.dir(ChildTok);
   }
   if (!CD) {
@@ -416,9 +428,7 @@ void ShardedFs::onMutation(const MetaRequest &Req) {
       return;
     // A new directory: register it and materialize its partition 0 so it
     // is listable (and statable) immediately.
-    std::string ChildV =
-        D->VPath == "/" ? "/" + P.Leaf : D->VPath + "/" + P.Leaf;
-    GigaDir &Child = Map.registerDir(ChildV);
+    GigaDir &Child = Map.registerDir(childPath(D->VPath, P.Leaf));
     ensurePartitionDir(Child.Token, 0);
     noteInsert(*D, P.Partition);
     return;
@@ -461,9 +471,7 @@ void ShardedFs::onMutation(const MetaRequest &Req) {
       return;
     if (D->Count[P.Partition] > 0)
       --D->Count[P.Partition];
-    std::string ChildV =
-        D->VPath == "/" ? "/" + P.Leaf : D->VPath + "/" + P.Leaf;
-    Map.unregisterDir(fnv1a64(ChildV));
+    Map.unregisterDir(fnv1a64(childPath(D->VPath, P.Leaf)));
     return;
   }
   case MetaOp::Rename: {
@@ -518,7 +526,9 @@ void ShardedFs::splitPartition(GigaDir &D, unsigned Partition,
   // of namespace state, not of hash-map iteration order.
   MetaReply Listing = execDirect(SrcShard, makeReaddir(SrcDir));
   unsigned Moved = 0;
-  std::unordered_map<std::string, uint64_t> CreateSeqByLeaf;
+  // Each moved leaf with its destination create record's anchor, sorted
+  // by leaf; the views point into Listing.
+  std::vector<std::pair<std::string_view, uint64_t>> CreateSeqByLeaf;
   if (Listing.ok()) {
     for (const DirEntry &E : Listing.Entries) {
       if (E.Name == "." || E.Name == "..")
@@ -526,18 +536,19 @@ void ShardedFs::splitPartition(GigaDir &D, unsigned Partition,
       if (!PartitionMap::movesOnSplit(PartitionMap::hashName(E.Name),
                                       OldDepth))
         continue;
-      CreateSeqByLeaf[E.Name] =
-          migrateEntry(SrcShard, DstShard, SrcDir, DstDir, E.Name);
+      CreateSeqByLeaf.emplace_back(
+          E.Name, migrateEntry(SrcShard, DstShard, SrcDir, DstDir, E.Name));
       ++Moved;
     }
   }
+  std::sort(CreateSeqByLeaf.begin(), CreateSeqByLeaf.end());
 
   // Cached replies for the moved names follow the entries: a client whose
   // reply was lost will retransmit through a stale-map redirect to the new
   // owner, and only the new owner's cache can replay the original reply.
   std::vector<FileServer::DrcExport> Exports =
       Shards[SrcShard]->extractDrcEntries(
-          VolIds[SrcShard], [&](const std::string &Path) {
+          VolIds[SrcShard], D.Token, Partition, [&](const std::string &Path) {
             PartitionMap::ParsedPath PP;
             return PartitionMap::parse(Path, PP) && PP.Token == D.Token &&
                    PP.Partition == Partition && !PP.Leaf.empty() &&
@@ -555,8 +566,12 @@ void ShardedFs::splitPartition(GigaDir &D, unsigned Partition,
       // destination. A cached create whose entry no longer exists (created
       // and removed again) is dropped: re-anchoring it would make crash
       // replay resurrect the entry.
-      auto It = CreateSeqByLeaf.find(Leaf);
-      if (It == CreateSeqByLeaf.end() || It->second == 0)
+      auto It = std::lower_bound(
+          CreateSeqByLeaf.begin(), CreateSeqByLeaf.end(), Leaf,
+          [](const auto &Moved, const std::string &L) {
+            return Moved.first < L;
+          });
+      if (It == CreateSeqByLeaf.end() || It->first != Leaf || It->second == 0)
         continue;
       Anchor = It->second;
       break;
@@ -605,11 +620,12 @@ uint64_t ShardedFs::migrateEntry(unsigned SrcShard, unsigned DstShard,
                                  const std::string &SrcDir,
                                  const std::string &DstDir,
                                  const std::string &Name) {
-  std::string From = SrcDir + "/" + Name;
-  std::string To = DstDir + "/" + Name;
+  // The source path lives in the probe and the destination path in To;
+  // each moves into the last request that names it.
   MetaRequest Probe;
   Probe.Op = MetaOp::Lstat;
-  Probe.Path = From;
+  Probe.Path = SrcDir + "/" + Name;
+  std::string To = DstDir + "/" + Name;
   MetaReply St = execDirect(SrcShard, Probe);
   if (!St.ok())
     return 0;
@@ -618,26 +634,27 @@ uint64_t ShardedFs::migrateEntry(unsigned SrcShard, unsigned DstShard,
   case FileType::Directory: {
     // Subdirectory markers are empty placeholder directories — the
     // subdirectory's contents live in its own partition directories.
-    MetaReply Mk = execDirect(DstShard, makeMkdir(To, St.A.Mode), &Seq);
+    MetaReply Mk =
+        execDirect(DstShard, makeMkdir(std::move(To), St.A.Mode), &Seq);
     DMB_ASSERT(Mk.ok() || Mk.Err == FsError::Exists, "marker migration");
-    MetaReply Rm = execDirect(SrcShard, makeRmdir(From));
+    MetaReply Rm = execDirect(SrcShard, makeRmdir(std::move(Probe.Path)));
     DMB_ASSERT(Rm.ok(), "source marker removal during split");
     break;
   }
   case FileType::Symlink: {
-    MetaRequest RL;
-    RL.Op = MetaOp::Readlink;
-    RL.Path = From;
-    MetaReply Link = execDirect(SrcShard, RL);
-    MetaReply Mk = execDirect(DstShard, makeSymlink(Link.Text, To), &Seq);
+    Probe.Op = MetaOp::Readlink;
+    MetaReply Link = execDirect(SrcShard, Probe);
+    MetaReply Mk = execDirect(
+        DstShard, makeSymlink(std::move(Link.Text), std::move(To)), &Seq);
     DMB_ASSERT(Mk.ok() || Mk.Err == FsError::Exists, "symlink migration");
-    MetaReply Rm = execDirect(SrcShard, makeUnlink(From));
+    MetaReply Rm = execDirect(SrcShard, makeUnlink(std::move(Probe.Path)));
     DMB_ASSERT(Rm.ok(), "source symlink removal during split");
     break;
   }
   case FileType::Regular: {
     MetaReply Open = execDirect(
-        DstShard, makeOpen(To, OpenCreate | OpenWrite, St.A.Mode), &Seq);
+        DstShard, makeOpen(std::move(To), OpenCreate | OpenWrite, St.A.Mode),
+        &Seq);
     if (Open.ok()) {
       if (St.A.Size > 0) {
         MetaRequest Trunc;
@@ -652,7 +669,7 @@ uint64_t ShardedFs::migrateEntry(unsigned SrcShard, unsigned DstShard,
     }
     // POSIX unlink-while-open semantics let the source copy go even with
     // live client handles; those handles keep the unlinked inode alive.
-    MetaReply Rm = execDirect(SrcShard, makeUnlink(From));
+    MetaReply Rm = execDirect(SrcShard, makeUnlink(std::move(Probe.Path)));
     DMB_ASSERT(Rm.ok(), "source entry removal during split");
     break;
   }
@@ -692,56 +709,85 @@ uint64_t ShardedClient::bitmapFor(uint64_t DirToken) const {
   return It == BitmapCache.end() ? 1 : It->second;
 }
 
-ShardedClient::Route ShardedClient::route(const MetaRequest &Req) const {
+/// Copies every field of \p Src except Path and Path2 into \p Dst: the
+/// sharded client writes the physical paths itself and would otherwise
+/// copy the virtual ones only to overwrite them. The fields are listed one
+/// by one, so a field added to MetaRequest must be added here.
+static void assignAllButPaths(MetaRequest &Dst, const MetaRequest &Src) {
+  Dst.Op = Src.Op;
+  Dst.Creds = Src.Creds;
+  Dst.Value = Src.Value;
+  Dst.Flags = Src.Flags;
+  Dst.Mode = Src.Mode;
+  Dst.Uid = Src.Uid;
+  Dst.Gid = Src.Gid;
+  Dst.Atime = Src.Atime;
+  Dst.Mtime = Src.Mtime;
+  Dst.Fh = Src.Fh;
+  Dst.Bytes = Src.Bytes;
+  Dst.ClientId = Src.ClientId;
+  Dst.Xid = Src.Xid;
+  Dst.MapEpoch = Src.MapEpoch;
+}
+
+/// Writes the physical path of the entry \p Leaf of partition \p Part of
+/// the directory \p Token to \p Out.
+static void physicalPath(std::string &Out, uint64_t Token, unsigned Part,
+                         std::string_view Leaf) {
+  Out.clear();
+  PartitionMap::appendPartitionDirName(Out, Token, Part);
+  Out += '/';
+  Out += Leaf;
+}
+
+ShardedClient::Route ShardedClient::route(const MetaRequest &Req,
+                                          std::string &Phys,
+                                          std::string &Phys2) const {
   Route R;
-  R.Phys = Req;
-  const std::string &Path = Req.Path;
+  std::string_view Path = Req.Path;
   if (Path.empty() || Path.front() != '/') {
     R.Err = FsError::NoEnt;
     return R;
   }
   // Listings read the target directory's partitions; partition 0's owner
-  // coordinates the fan-out.
-  if (Req.Op == MetaOp::Readdir || Req.Op == MetaOp::ReaddirPlus) {
-    uint64_t Tok = fnv1a64(Path);
-    R.DirToken = Tok;
-    R.Shard = Fs.placement().shardFor(Tok, 0);
-    R.Phys.Path = PartitionMap::partitionDirName(Tok, 0);
-    return R;
-  }
-  if (Path == "/") {
-    if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
-      // The root has no marker entry; partition 0 stands in for it.
-      uint64_t Tok = fnv1a64(Path);
-      R.DirToken = Tok;
-      R.Shard = Fs.placement().shardFor(Tok, 0);
-      R.Phys.Path = PartitionMap::partitionDirName(Tok, 0);
-      return R;
-    }
+  // coordinates the fan-out. The root has no marker entry, so a stat of
+  // it reads partition 0 as well.
+  bool IsListing = Req.Op == MetaOp::Readdir || Req.Op == MetaOp::ReaddirPlus;
+  if (!IsListing && Path == "/" && Req.Op != MetaOp::Stat &&
+      Req.Op != MetaOp::Lstat) {
     R.Err = Req.Op == MetaOp::Mkdir ? FsError::Exists : FsError::Busy;
     return R;
   }
-  auto Translate = [this](const std::string &VPath, uint64_t &TokOut,
+  if (IsListing || Path == "/") {
+    uint64_t Tok = fnv1a64(Path);
+    R.DirToken = Tok;
+    R.Shard = Fs.placement().shardFor(Tok, 0);
+    Phys.clear();
+    PartitionMap::appendPartitionDirName(Phys, Tok, 0);
+    return R;
+  }
+  auto Translate = [this](std::string_view VPath, uint64_t &TokOut,
                           std::string &PhysOut, unsigned &ShardOut) {
     size_t Slash = VPath.rfind('/');
-    std::string Leaf = VPath.substr(Slash + 1);
+    std::string_view Leaf = VPath.substr(Slash + 1);
     if (Leaf.empty())
       return false;
-    TokOut = fnv1a64(Slash == 0 ? std::string("/") : VPath.substr(0, Slash));
+    TokOut = fnv1a64(Slash == 0 ? std::string_view("/")
+                                : VPath.substr(0, Slash));
     unsigned Part = PartitionMap::partitionOf(PartitionMap::hashName(Leaf),
                                               bitmapFor(TokOut));
-    PhysOut = PartitionMap::partitionDirName(TokOut, Part) + "/" + Leaf;
+    physicalPath(PhysOut, TokOut, Part, Leaf);
     ShardOut = Fs.placement().shardFor(TokOut, Part);
     return true;
   };
-  if (!Translate(Path, R.DirToken, R.Phys.Path, R.Shard)) {
+  if (!Translate(Path, R.DirToken, Phys, R.Shard)) {
     R.Err = FsError::NoEnt;
     return R;
   }
   if (Req.Op == MetaOp::Rename || Req.Op == MetaOp::Link) {
     unsigned Shard2 = 0;
     if (Req.Path2.empty() || Req.Path2.front() != '/' || Req.Path2 == "/" ||
-        !Translate(Req.Path2, R.DirToken2, R.Phys.Path2, Shard2)) {
+        !Translate(Req.Path2, R.DirToken2, Phys2, Shard2)) {
       R.Err = FsError::Invalid;
       return R;
     }
@@ -751,6 +797,39 @@ ShardedClient::Route ShardedClient::route(const MetaRequest &Req) const {
       R.Err = FsError::XDev;
       return R;
     }
+  }
+  return R;
+}
+
+ShardedClient::Route ShardedClient::reroute(MetaRequest &Req) const {
+  Route R;
+  // Moves \p Path to the partition the current bitmap gives its leaf.
+  auto Retranslate = [this](std::string &Path, uint64_t &TokOut,
+                            unsigned &ShardOut) {
+    PartitionMap::ParsedPath P;
+    [[maybe_unused]] bool Parsed = PartitionMap::parse(Path, P);
+    DMB_ASSERT(Parsed, "rerouting a request route() did not translate");
+    TokOut = P.Token;
+    if (P.Leaf.empty()) {
+      // A listing or the root: partition 0 stands for the directory.
+      ShardOut = Fs.placement().shardFor(P.Token, 0);
+      return;
+    }
+    unsigned Part = PartitionMap::partitionOf(PartitionMap::hashName(P.Leaf),
+                                              bitmapFor(P.Token));
+    if (Part != P.Partition) {
+      std::string Moved; // P.Leaf views Path
+      physicalPath(Moved, P.Token, Part, P.Leaf);
+      Path = std::move(Moved);
+    }
+    ShardOut = Fs.placement().shardFor(P.Token, Part);
+  };
+  Retranslate(Req.Path, R.DirToken, R.Shard);
+  if (Req.Op == MetaOp::Rename || Req.Op == MetaOp::Link) {
+    unsigned Shard2 = 0;
+    Retranslate(Req.Path2, R.DirToken2, Shard2);
+    if (Shard2 != R.Shard)
+      R.Err = FsError::XDev;
   }
   return R;
 }
@@ -771,8 +850,11 @@ void ShardedClient::submit(const MetaRequest &Req, Callback Done) {
       });
       return;
     }
-    submitDirect(WB->translate(Req), std::move(Done));
-    return;
+    // Only a queue-local handle needs a translated copy.
+    if (WriteBehindQueue::isLocalFh(Req.Fh)) {
+      submitDirect(WB->translate(Req), std::move(Done));
+      return;
+    }
   }
   submitDirect(Req, std::move(Done));
 }
@@ -799,18 +881,18 @@ void ShardedClient::submitDirect(const MetaRequest &Req, Callback Done) {
   // queue-local handle to InvalidHandle) is a bad descriptor too.
   if (isHandleOp(Req.Op) ||
       (Req.Fh != InvalidHandle && Req.Op != MetaOp::Open)) {
-    auto It = Handles.find(Req.Fh);
-    if (It == Handles.end()) {
+    const HandleInfo *Found = Handles.find(Req.Fh);
+    if (!Found) {
       failLocally(FsError::BadFd, std::move(Done));
       return;
     }
-    HandleInfo Info = It->second;
+    HandleInfo Info = *Found;
     if (Req.Op == MetaOp::Close)
-      Handles.erase(It);
+      Handles.erase(Req.Fh);
     MetaRequest Fwd = Req;
     Fwd.Fh = Info.ServerFh;
     rpc(
-        Fwd, 0,
+        std::move(Fwd), 0,
         [this, Shard = Info.Shard](CallRef C) {
           const MetaRequest &R = C->Req;
           Fs.dispatchAtShard(Shard, R, replyTo(std::move(C)));
@@ -818,22 +900,28 @@ void ShardedClient::submitDirect(const MetaRequest &Req, Callback Done) {
         ReplyHook(), std::move(Done));
     return;
   }
-  // Errors the first routing pass can already see (bad paths, cross-shard
-  // renames) are answered without consuming a slot.
-  Route Rt = route(Req);
+  // The operation's one request: the caller's fields around the physical
+  // paths routing writes. Errors the first routing pass can already see
+  // (bad paths, cross-shard renames) are answered without consuming a
+  // slot.
+  auto Op = std::make_unique<PathOp>();
+  Route Rt = route(Req, Op->Req.Path, Op->Req.Path2);
   if (Rt.Err != FsError::Ok) {
     failLocally(Rt.Err, std::move(Done));
     return;
   }
+  assignAllButPaths(Op->Req, Req);
+  if (Req.Op != MetaOp::Rename && Req.Op != MetaOp::Link)
+    Op->Req.Path2 = Req.Path2; // a symlink target or an xattr key
   // The Xid is allocated before the first attempt and pinned across
   // redirects: every re-issue of this operation — to whichever shard the
   // refreshed map points at — carries the same DRC identity. A request
   // arriving with an Xid already stamped (the write-behind queue pins one
   // at enqueue) keeps it.
-  auto Op = std::make_unique<PathOp>();
-  Op->Req = Req;
+  if (!Op->Req.Xid)
+    Op->Req.Xid = allocXid();
+  Op->Kind = Req.Op;
   Op->Done = std::move(Done);
-  Op->Xid = Req.Xid ? Req.Xid : allocXid();
   Op->RedirectsLeft = Fs.options().MaxRedirects;
   withSlot([this, Op = std::move(Op)]() mutable { attempt(std::move(Op)); });
 }
@@ -846,7 +934,7 @@ void ShardedClient::finish(std::unique_ptr<PathOp> Op, MetaReply &&Reply) {
 void ShardedClient::attempt(std::unique_ptr<PathOp> Op) {
   // Re-route on every attempt: a refresh may have changed the partition,
   // the physical path, and the owning shard.
-  Route Rt = route(Op->Req);
+  Route Rt = reroute(Op->Req);
   if (Rt.Err != FsError::Ok) {
     failLocally(Rt.Err,
                 [this, Op = std::move(Op)](MetaReply &&Reply) mutable {
@@ -854,18 +942,26 @@ void ShardedClient::attempt(std::unique_ptr<PathOp> Op) {
                 });
     return;
   }
-  Rt.Phys.ClientId = rpcClientId();
-  Rt.Phys.Xid = Op->Xid;
-  Rt.Phys.MapEpoch = CachedEpoch;
+  MetaRequest &Req = Op->Req;
+  Req.ClientId = rpcClientId();
+  Req.MapEpoch = CachedEpoch;
   unsigned Shard = Rt.Shard;
   Op->Shard = Shard;
   Op->Tok = Rt.DirToken;
   Op->Tok2 = Rt.DirToken2;
+  PathOp *Redirectable = Op.get();
   transact(
-      Rt.Phys,
+      std::move(Req),
       [this, Shard](CallRef C) {
         const MetaRequest &R = C->Req;
         Fs.dispatchAtShard(Shard, R, replyTo(std::move(C)));
+      },
+      // A redirect re-issues the request: copy it back out of the record
+      // (a retransmit may still be reading the record's copy).
+      [Redirectable](Call &C) {
+        if (C.Reply.Err == FsError::StaleMap &&
+            Redirectable->RedirectsLeft > 0)
+          Redirectable->Req = C.Req;
       },
       [this, Op = std::move(Op)](MetaReply &&Reply) mutable {
         onAttemptReply(std::move(Op), std::move(Reply));
@@ -890,11 +986,11 @@ void ShardedClient::onAttemptReply(std::unique_ptr<PathOp> Op,
                   });
     return;
   }
-  if (Reply.ok() && Op->Req.Op == MetaOp::Open) {
+  if (Reply.ok() && Op->Kind == MetaOp::Open) {
     // Wrap the server handle so handles from different shards cannot
     // collide at the client.
     FileHandle Local = NextLocalFh++;
-    Handles[Local] = HandleInfo{Op->Shard, Reply.Fh};
+    Handles.insert(Local, HandleInfo{Op->Shard, Reply.Fh});
     Reply.Fh = Local;
   }
   finish(std::move(Op), std::move(Reply));

@@ -36,10 +36,11 @@
 #include "dfs/RpcClientBase.h"
 #include "dfs/WriteBehind.h"
 #include "sim/Scheduler.h"
+#include "support/IdTable.h"
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -138,7 +139,9 @@ public:
   /// duplicate-request probe, routing validation against the
   /// authoritative map (StaleMap on mismatch), the fan-out paths for
   /// readdir/rmdir, and the forward into the shard's FileServer.
-  /// \p Reply fires exactly once.
+  /// \p Reply fires exactly once. The batch keeps a reference to \p R, not
+  /// a copy: \p R must live until \p Reply fires or is destroyed (the
+  /// client's RPC record, which the reply callback keeps alive).
   void dispatchAtShard(unsigned Shard, const MetaRequest &R,
                        ReplyCallback Reply);
 
@@ -152,9 +155,10 @@ private:
   friend class ShardedClient;
 
   /// One request waiting in a shard's ingest batch, with the trace id of
-  /// the operation it belongs to (restored around its admission).
+  /// the operation it belongs to (restored around its admission). The
+  /// request is the client's; Reply keeps it alive.
   struct PendingArrival {
-    MetaRequest Req;
+    const MetaRequest *Req = nullptr;
     ReplyCallback Reply;
     uint64_t Trace = 0;
   };
@@ -209,7 +213,8 @@ private:
                      ReplyCallback Reply);
 
   /// Forwards \p R into the shard's FileServer, stamping the current map
-  /// epoch onto the reply.
+  /// epoch onto the reply. \p Reply waits in Forwarded, so the server's
+  /// completion captures an index rather than a callback.
   void forward(unsigned Shard, const MetaRequest &R,
                ReplyCallback Reply);
   /// Answers \p Reply with \p Err from shard \p Shard after the (small)
@@ -228,6 +233,10 @@ private:
   /// Per-shard ingest batches, oldest first. Arrivals always append to
   /// the newest batch (time moves forward); flushes pop the oldest.
   std::vector<std::deque<ArrivalBatch>> Ingest;
+  /// Emptied batch storage, reused by the next batch.
+  std::vector<std::vector<PendingArrival>> SpareBatches;
+  /// Reply callbacks of requests forwarded into a shard's FileServer.
+  SlotTable<ReplyCallback> Forwarded;
   uint64_t Splits = 0;
   uint64_t MigratedEntries = 0;
   uint64_t StaleReplies = 0;
@@ -253,7 +262,7 @@ public:
 
   /// The write-behind queue, when ClientConfig::WriteBehind enabled one.
   const WriteBehindQueue *writeBehind() const {
-    return WB ? &*WB : nullptr;
+    return WB.get();
   }
 
 private:
@@ -261,25 +270,32 @@ private:
     unsigned Shard = 0;
     FileHandle ServerFh = InvalidHandle;
   };
-  /// One routing decision: where the translated request goes, or the
+  /// One routing decision: the shard a translated request goes to, or the
   /// error to answer client-side.
   struct Route {
     FsError Err = FsError::Ok;
     unsigned Shard = 0;
     uint64_t DirToken = 0;  ///< bitmap to refresh on StaleMap
     uint64_t DirToken2 = 0; ///< secondary bitmap (rename/link), 0 = none
-    MetaRequest Phys;
   };
 
-  Route route(const MetaRequest &Req) const;
+  /// Translates \p Req's virtual path into the physical one, written to
+  /// \p Phys, and — for rename and link — its target into \p Phys2.
+  Route route(const MetaRequest &Req, std::string &Phys,
+              std::string &Phys2) const;
+  /// Routes a request route() translated again, under the current bitmaps,
+  /// rewriting its physical paths in place. The physical path keeps the
+  /// directory token and the leaf, which is all routing needs.
+  Route reroute(MetaRequest &Req) const;
   uint64_t bitmapFor(uint64_t DirToken) const;
   /// A path operation across its StaleMap redirects, all under one RPC
-  /// slot: the client-side request (re-routed on every attempt), the
-  /// caller's callback and the pinned Xid.
+  /// slot: the routed request, the caller's callback and the redirect
+  /// budget. The request moves into each attempt's RPC record and is
+  /// copied back only when a redirect re-issues it.
   struct PathOp {
-    MetaRequest Req;
+    MetaRequest Req; ///< physical paths; the Xid is pinned
+    MetaOp Kind = MetaOp::Stat;
     ReplyCallback Done;
-    uint64_t Xid = 0;
     unsigned RedirectsLeft = 0;
     /// Routing of the current attempt: its shard, and the bitmaps to
     /// refresh on StaleMap.
@@ -304,9 +320,10 @@ private:
   std::unordered_map<uint64_t, uint64_t> BitmapCache;
   uint64_t CachedEpoch = 0;
   uint64_t StaleRetries = 0;
-  std::unordered_map<FileHandle, HandleInfo> Handles;
+  /// Open handles by the client-local handle (numbered from 1).
+  IdTable<HandleInfo> Handles;
   FileHandle NextLocalFh = 1;
-  std::optional<WriteBehindQueue> WB;
+  std::unique_ptr<WriteBehindQueue> WB;
 };
 
 } // namespace dmb

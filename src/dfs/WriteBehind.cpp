@@ -71,7 +71,7 @@ bool WriteBehindQueue::shouldQueue(const MetaRequest &Req) const {
 std::vector<uint64_t> WriteBehindQueue::seedsFor(const MetaRequest &Req) const {
   std::vector<uint64_t> Seeds;
   auto AddLive = [&](uint64_t Id) {
-    if (Id && Ops.count(Id))
+    if (Id && findOp(Id))
       Seeds.push_back(Id);
   };
   auto AddPath = [&](const std::string &P) {
@@ -88,9 +88,9 @@ std::vector<uint64_t> WriteBehindQueue::seedsFor(const MetaRequest &Req) const {
   if (path2IsPath(Req.Op))
     AddPath(Req.Path2);
   if (isLocalFh(Req.Fh)) {
-    if (auto It = LocalFhs.find(Req.Fh); It != LocalFhs.end()) {
-      AddLive(It->second.OpenOp);
-      AddLive(It->second.LastOp);
+    if (const LocalHandle *H = LocalFhs.find(Req.Fh)) {
+      AddLive(H->OpenOp);
+      AddLive(H->LastOp);
     }
   }
   return Seeds;
@@ -108,9 +108,9 @@ MetaRequest WriteBehindQueue::translate(const MetaRequest &Req) const {
   if (!isLocalFh(Req.Fh))
     return Req;
   MetaRequest Out = Req;
-  auto It = LocalFhs.find(Req.Fh);
+  const LocalHandle *H = LocalFhs.find(Req.Fh);
   // InvalidHandle when the open failed or a completed close retired it.
-  Out.Fh = It != LocalFhs.end() ? It->second.ServerFh : InvalidHandle;
+  Out.Fh = H ? H->ServerFh : InvalidHandle;
   return Out;
 }
 
@@ -120,9 +120,7 @@ void WriteBehindQueue::enqueue(const MetaRequest &Req, Callback Done) {
   // Outside drainStalledAndBarriers a non-empty stall list implies the
   // cap is hit, so checking Live alone keeps FIFO order.
   if (Live >= Policy.MaxQueuedOps) {
-    Stalled.push_back([this, Req, Done = std::move(Done)]() mutable {
-      enqueue(Req, std::move(Done));
-    });
+    Stalled.push(StalledOp{Req, std::move(Done)});
     return;
   }
   if (Policy.DeferIssue)
@@ -166,16 +164,16 @@ bool WriteBehindQueue::coalesce(const MetaRequest &Req) {
     break;
   case MetaOp::Write:
     if (isLocalFh(Req.Fh))
-      if (auto It = LocalFhs.find(Req.Fh); It != LocalFhs.end())
-        CandidateId = It->second.LastOp;
+      if (const LocalHandle *H = LocalFhs.find(Req.Fh))
+        CandidateId = H->LastOp;
     break;
   default:
     return false;
   }
-  auto It = Ops.find(CandidateId);
-  if (CandidateId == 0 || It == Ops.end())
+  Op *Candidate = CandidateId ? findOp(CandidateId) : nullptr;
+  if (!Candidate)
     return false;
-  Op &O = It->second;
+  Op &O = *Candidate;
   // Only a not-yet-scheduled op of the same kind on the same target can
   // absorb: once a flush claimed it, its wire identity (Xid) is fixed.
   if (O.State != Op::St::Queued || O.Req.Op != Req.Op)
@@ -213,13 +211,13 @@ bool WriteBehindQueue::coalesce(const MetaRequest &Req) {
 void WriteBehindQueue::addDep(Op &From, uint64_t On) {
   if (On == 0 || On == From.Id)
     return;
-  auto It = Ops.find(On);
-  if (It == Ops.end())
+  Op *Target = findOp(On);
+  if (!Target)
     return;
   if (std::find(From.Deps.begin(), From.Deps.end(), On) != From.Deps.end())
     return;
   From.Deps.push_back(On);
-  It->second.Dependents.push_back(From.Id);
+  Target->Dependents.push_back(From.Id);
   ++From.PendingDeps;
 }
 
@@ -244,11 +242,12 @@ void WriteBehindQueue::indexOp(const Op &O) {
   if (path2IsPath(Req.Op))
     Index(Req.Path2);
   if (isLocalFh(Req.Fh))
-    LocalFhs.at(Req.Fh).LastOp = O.Id;
+    LocalFhs.find(Req.Fh)->LastOp = O.Id;
 }
 
-void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
-  if (isLocalFh(Req.Fh) && !LocalFhs.count(Req.Fh)) {
+void WriteBehindQueue::enqueueDeferred(const MetaRequest &Req,
+                                       Callback Done) {
+  if (isLocalFh(Req.Fh) && !LocalFhs.find(Req.Fh)) {
     // A completed close retired this handle: the application is using a
     // closed descriptor.
     MetaReply Reply;
@@ -269,23 +268,36 @@ void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
     return;
   }
 
+  uint64_t Id = NextOpId++;
+  MetaReply Predicted = predictReply(Req);
+  uint32_t Index;
+  if (FreeOps.empty()) {
+    Index = static_cast<uint32_t>(OpPool.size());
+    OpPool.push_back(std::make_unique<Op>());
+  } else {
+    Index = FreeOps.back();
+    FreeOps.pop_back();
+  }
+  Ops.insert(Id, Index);
+  Op &O = *OpPool[Index];
+  O.Id = Id;
+  O.State = Op::St::Queued;
+  O.PendingDeps = 0;
+  O.LocalFh = InvalidHandle;
+  // The queue's copy of the request; a reused record keeps its strings'
+  // capacity.
+  O.Req = Req;
   // Pin the duplicate-request-cache identity at enqueue: every issue (and
   // retransmit) of this op, whenever the flush happens, carries the same
   // (ClientId, Xid).
-  if (Hooks.AllocXid && Req.Xid == 0)
-    Req.Xid = Hooks.AllocXid();
-
-  uint64_t Id = NextOpId++;
-  MetaReply Predicted = predictReply(Req);
-  Op &O = Ops[Id];
-  O.Id = Id;
+  if (Hooks.AllocXid && O.Req.Xid == 0)
+    O.Req.Xid = Hooks.AllocXid();
   if (isCreatingOpen(Req)) {
     O.LocalFh = NextLocalFh++;
-    LocalFhs.emplace(O.LocalFh, LocalHandle{.OpenOp = Id});
+    LocalFhs.insert(O.LocalFh, LocalHandle{.OpenOp = Id});
     Predicted.Fh = O.LocalFh;
     Predicted.A.Mode = Req.Mode;
   }
-  O.Req = std::move(Req);
   Unflushed.push_back(Id);
 
   // Dependency edges (computed before indexing, so the op never depends
@@ -309,7 +321,7 @@ void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
       addDep(O, L->Id);
   }
   if (isLocalFh(O.Req.Fh)) {
-    const LocalHandle &H = LocalFhs.at(O.Req.Fh);
+    const LocalHandle &H = *LocalFhs.find(O.Req.Fh);
     addDep(O, H.OpenOp);
     addDep(O, H.LastOp);
   }
@@ -325,10 +337,11 @@ void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
 }
 
 void WriteBehindQueue::localAck(Callback Done, MetaReply Reply) {
-  Sched.after(Policy.LocalAckCost,
-              [Done = std::move(Done), Reply = std::move(Reply)]() mutable {
-                Done(std::move(Reply));
-              });
+  uint32_t Slot = Acks.put(PendingAck{std::move(Done), std::move(Reply)});
+  Sched.after(Policy.LocalAckCost, [this, Slot]() {
+    PendingAck A = Acks.take(Slot);
+    A.Done(std::move(A.Reply));
+  });
 }
 
 void WriteBehindQueue::maybeTrigger() {
@@ -367,9 +380,8 @@ void WriteBehindQueue::scheduleAll() {
   std::vector<uint64_t> Claimed;
   Claimed.reserve(Unflushed.size());
   for (uint64_t Id : Unflushed)
-    if (auto It = Ops.find(Id);
-        It != Ops.end() && It->second.State == Op::St::Queued) {
-      It->second.State = Op::St::Scheduled;
+    if (Op *O = findOp(Id); O && O->State == Op::St::Queued) {
+      O->State = Op::St::Scheduled;
       Claimed.push_back(Id);
     }
   Unflushed.clear();
@@ -382,10 +394,9 @@ void WriteBehindQueue::issueReady(const std::vector<uint64_t> &Claimed) {
   // Only the ops just claimed can be ready: onOpDone issues any other
   // Scheduled op the moment its last dependency completes.
   for (uint64_t Id : Claimed) {
-    auto It = Ops.find(Id);
-    if (It != Ops.end() && It->second.State == Op::St::Scheduled &&
-        It->second.PendingDeps == 0)
-      issueOp(It->second);
+    Op *O = findOp(Id);
+    if (O && O->State == Op::St::Scheduled && O->PendingDeps == 0)
+      issueOp(*O);
   }
 }
 
@@ -393,40 +404,46 @@ void WriteBehindQueue::issueOp(Op &O) {
   O.State = Op::St::Issued;
   ++Issued;
   uint64_t Id = O.Id;
-  MetaRequest Wire = O.Req;
-  if (isLocalFh(Wire.Fh)) {
-    auto HIt = LocalFhs.find(Wire.Fh);
-    if (HIt == LocalFhs.end() || HIt->second.Failed) {
-      // The creating open this op rode on never materialized, or a close
-      // queued ahead of it retired the handle; complete with the handle
-      // error without a round trip. Deferred a tick so the completion
-      // cascade never runs under issueReady()'s loop.
-      Sched.after(0, [this, Id]() {
-        MetaReply R;
-        R.Err = FsError::BadFd;
-        onOpDone(Id, std::move(R));
-      });
-      return;
-    }
-    DMB_ASSERT(HIt->second.ServerFh != InvalidHandle,
-               "write-behind issued a handle op before its open resolved");
-    Wire.Fh = HIt->second.ServerFh;
-  }
-  Hooks.Issue(Wire, [this, Id](MetaReply &&Reply) {
+  auto Done = [this, Id](MetaReply &&Reply) {
     onOpDone(Id, std::move(Reply));
-  });
+  };
+  if (!isLocalFh(O.Req.Fh)) {
+    Hooks.Issue(O.Req, std::move(Done));
+    return;
+  }
+  const LocalHandle *H = LocalFhs.find(O.Req.Fh);
+  if (!H || H->Failed) {
+    // The creating open this op rode on never materialized, or a close
+    // queued ahead of it retired the handle; complete with the handle
+    // error without a round trip. Deferred a tick so the completion
+    // cascade never runs under issueReady()'s loop.
+    Sched.after(0, [this, Id]() {
+      MetaReply R;
+      R.Err = FsError::BadFd;
+      onOpDone(Id, std::move(R));
+    });
+    return;
+  }
+  DMB_ASSERT(H->ServerFh != InvalidHandle,
+             "write-behind issued a handle op before its open resolved");
+  MetaRequest Wire = O.Req;
+  Wire.Fh = H->ServerFh;
+  Hooks.Issue(Wire, std::move(Done));
 }
 
-void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
-  auto It = Ops.find(Id);
-  DMB_ASSERT(It != Ops.end(), "write-behind completion for a dead op");
-  Op O = std::move(It->second);
-  Ops.erase(It);
+void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply &&Reply) {
+  const uint32_t *Found = Ops.find(Id);
+  DMB_ASSERT(Found, "write-behind completion for a dead op");
+  uint32_t Index = *Found;
+  // From here on the op is dead to every lookup; its record stays put
+  // (and off the free list) until this completion is through with it.
+  Ops.erase(Id);
+  Op &O = *OpPool[Index];
 
   if (O.LocalFh != InvalidHandle) {
     // Resolve the queue-local handle the application is holding. It is
     // still live: every op that could retire it depends on this open.
-    LocalHandle &H = LocalFhs.at(O.LocalFh);
+    LocalHandle &H = *LocalFhs.find(O.LocalFh);
     H.OpenOp = 0;
     H.ServerFh = Reply.Fh;
     H.Failed = !Reply.ok();
@@ -457,35 +474,36 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
   if (path2IsPath(O.Req.Op))
     Unindex(O.Req.Path2);
   if (isLocalFh(O.Req.Fh)) {
-    if (auto HIt = LocalFhs.find(O.Req.Fh); HIt != LocalFhs.end()) {
-      if (HIt->second.LastOp == Id)
-        HIt->second.LastOp = 0;
+    if (LocalHandle *H = LocalFhs.find(O.Req.Fh)) {
+      if (H->LastOp == Id)
+        H->LastOp = 0;
       // A completed close retires the local handle entirely.
       if (O.Req.Op == MetaOp::Close)
-        LocalFhs.erase(HIt);
+        LocalFhs.erase(O.Req.Fh);
     }
   }
 
   // Release dependents (the in-flight batch cascades in dependency
-  // order), then barrier waiters, then admission.
-  std::vector<uint64_t> NowReady;
+  // order), then barrier waiters, then admission. Every count drops
+  // before the first issue; then the dependents that reached zero while
+  // claimed by a flush go out, in edge order.
   for (uint64_t DepId : O.Dependents) {
-    auto DIt = Ops.find(DepId);
-    if (DIt == Ops.end())
+    Op *D = findOp(DepId);
+    if (!D)
       continue;
-    DMB_ASSERT(DIt->second.PendingDeps > 0,
-               "write-behind dependency count underflow");
-    if (--DIt->second.PendingDeps == 0 &&
-        DIt->second.State == Op::St::Scheduled)
-      NowReady.push_back(DepId);
+    DMB_ASSERT(D->PendingDeps > 0, "write-behind dependency count underflow");
+    --D->PendingDeps;
   }
-  for (uint64_t ReadyId : NowReady) {
-    auto RIt = Ops.find(ReadyId);
-    if (RIt != Ops.end() && RIt->second.State == Op::St::Scheduled)
-      issueOp(RIt->second);
-  }
+  for (uint64_t DepId : O.Dependents)
+    if (Op *D = findOp(DepId);
+        D && D->PendingDeps == 0 && D->State == Op::St::Scheduled)
+      issueOp(*D);
   for (Scheduler::Action &W : O.Waiters)
     W();
+  O.Deps.clear();
+  O.Dependents.clear();
+  O.Waiters.clear();
+  FreeOps.push_back(Index);
   DMB_ASSERT(Live > 0, "write-behind live count underflow");
   --Live;
   drainStalledAndBarriers();
@@ -493,9 +511,8 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
 
 void WriteBehindQueue::drainStalledAndBarriers() {
   while (!Stalled.empty() && Live < Policy.MaxQueuedOps) {
-    Scheduler::Action Next = std::move(Stalled.front());
-    Stalled.pop_front();
-    Next();
+    StalledOp Next = Stalled.pop();
+    enqueue(Next.Req, std::move(Next.Done));
   }
   if (Live == 0 && Stalled.empty() && !IdleWaiters.empty()) {
     std::vector<Scheduler::Action> Waiters = std::move(IdleWaiters);
@@ -513,12 +530,12 @@ WriteBehindQueue::closureOf(std::vector<uint64_t> Seeds) const {
     Seeds.pop_back();
     if (Id == 0 || !Closure.insert(Id).second)
       continue;
-    auto It = Ops.find(Id);
-    if (It == Ops.end()) {
+    const Op *O = findOp(Id);
+    if (!O) {
       Closure.erase(Id);
       continue;
     }
-    for (uint64_t Dep : It->second.Deps)
+    for (uint64_t Dep : O->Deps)
       Seeds.push_back(Dep);
   }
   return Closure;
@@ -535,7 +552,7 @@ void WriteBehindQueue::awaitClosure(std::vector<uint64_t> Seeds,
   auto Shared = std::make_shared<Scheduler::Action>(std::move(Done));
   std::vector<uint64_t> Claimed;
   for (uint64_t Id : Closure) {
-    Op &O = Ops.at(Id);
+    Op &O = *findOp(Id);
     if (O.State == Op::St::Queued) {
       O.State = Op::St::Scheduled;
       Claimed.push_back(Id);

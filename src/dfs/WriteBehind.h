@@ -40,12 +40,12 @@
 #include "dfs/ClientConfig.h"
 #include "dfs/Message.h"
 #include "sim/Scheduler.h"
+#include "support/FifoRing.h"
 #include "support/FlatIndex.h"
-#include <deque>
-#include <map>
+#include "support/IdTable.h"
+#include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace dmb {
@@ -117,6 +117,12 @@ public:
   /// the inner client reports BadFd.
   MetaRequest translate(const MetaRequest &Req) const;
 
+  /// True when \p Fh is a queue-local handle, i.e. when translate() would
+  /// change a request carrying it.
+  static bool isLocalFh(FileHandle Fh) {
+    return Fh != InvalidHandle && (Fh & LocalFhTag) != 0;
+  }
+
   /// Force-schedules everything currently queued (manual flush trigger).
   void flush();
 
@@ -162,11 +168,7 @@ private:
     bool Failed = false; ///< the open failed at the server
   };
 
-  static bool isLocalFh(FileHandle Fh) {
-    return Fh != InvalidHandle && (Fh & LocalFhTag) != 0;
-  }
-
-  void enqueueDeferred(MetaRequest Req, Callback Done);
+  void enqueueDeferred(const MetaRequest &Req, Callback Done);
   void enqueueEager(const MetaRequest &Req, Callback Done);
   /// Folds \p Req into an existing queued op when the coalescing rules
   /// allow; returns true when absorbed.
@@ -186,7 +188,7 @@ private:
   /// St::Scheduled) whose dependencies have all completed.
   void issueReady(const std::vector<uint64_t> &Claimed);
   void issueOp(Op &O);
-  void onOpDone(uint64_t Id, MetaReply Reply);
+  void onOpDone(uint64_t Id, MetaReply &&Reply);
   void drainStalledAndBarriers();
   /// Live transitive dependency closure of the seed set.
   std::set<uint64_t> closureOf(std::vector<uint64_t> Seeds) const;
@@ -205,7 +207,25 @@ private:
   WriteBehindPolicy Policy;
   WriteBehindHooks Hooks;
 
-  std::map<uint64_t, Op> Ops; ///< live deferred ops by id
+  /// The live deferred op \p Id; nullptr once it finished.
+  Op *findOp(uint64_t Id) {
+    const uint32_t *Index = Ops.find(Id);
+    return Index ? OpPool[*Index].get() : nullptr;
+  }
+  const Op *findOp(uint64_t Id) const {
+    const uint32_t *Index = Ops.find(Id);
+    return Index ? OpPool[*Index].get() : nullptr;
+  }
+
+  /// Live deferred ops: their index in OpPool, by id. Ids are dense and
+  /// only grow, and ops finish roughly in id order, so the table is a
+  /// window over the ids in flight.
+  IdTable<uint32_t> Ops;
+  /// Op records. A finished op's record goes to FreeOps and is reused with
+  /// the capacity of its strings and vectors; records never move, so a
+  /// reference to one survives the pool's growth.
+  std::vector<std::unique_ptr<Op>> OpPool;
+  std::vector<uint32_t> FreeOps;
   uint64_t NextOpId = 1;
   /// Ids enqueued since the last flush, ascending. A superset of the
   /// St::Queued ops: a barrier may claim some of them first.
@@ -225,7 +245,8 @@ private:
 
   PathIndex LastByPath;
   PathIndex LastChildOf; ///< dir -> last op on a child
-  std::unordered_map<FileHandle, LocalHandle> LocalFhs;
+  /// Queue-local handles by value; minted in ascending order.
+  IdTable<LocalHandle> LocalFhs;
   FileHandle NextLocalFh = LocalFhTag | 1;
 
   unsigned Live = 0;         ///< acked-not-finished (both disciplines)
@@ -234,8 +255,19 @@ private:
   uint64_t TimerEpoch = 0;   ///< invalidates stale dwell timers
   bool TimerArmed = false;
 
-  std::deque<Scheduler::Action> Stalled;       ///< enqueues over the cap
+  /// Enqueues over the cap, oldest first.
+  struct StalledOp {
+    MetaRequest Req;
+    Callback Done;
+  };
+  FifoRing<StalledOp> Stalled;
   std::vector<Scheduler::Action> IdleWaiters; ///< whole-queue barriers
+  /// Local acks waiting out LocalAckCost; the ack event captures the index.
+  struct PendingAck {
+    Callback Done;
+    MetaReply Reply;
+  };
+  SlotTable<PendingAck> Acks;
 
   FsError Sticky = FsError::Ok;
   uint64_t Enqueued = 0;

@@ -42,7 +42,7 @@ void Resource::request(SimDuration Service, Completion Done) {
     startService(std::move(P));
     return;
   }
-  Waiting.push_back(std::move(P));
+  Waiting.push(std::move(P));
   sampleState();
 }
 
@@ -53,15 +53,7 @@ void Resource::startService(Pending P) {
   if (Actual < 0)
     Actual = 0;
   BusyTime += Actual;
-  uint32_t Server;
-  if (IdleSlots.empty()) {
-    Server = static_cast<uint32_t>(InService.size());
-    InService.push_back(std::move(P.Done));
-  } else {
-    Server = IdleSlots.back();
-    IdleSlots.pop_back();
-    InService[Server] = std::move(P.Done);
-  }
+  uint32_t Server = InService.put(std::move(P.Done));
   Sched.traceStampOn(P.Trace, TracePoint::ServiceStart);
   if (LockOrderGraph *G = Sched.lockOrder())
     G->onGranted(this, P.Trace);
@@ -76,8 +68,7 @@ void Resource::startService(Pending P) {
 }
 
 void Resource::onServiceEnd(uint32_t Server, uint64_t Trace) {
-  Completion Done = std::move(InService[Server]);
-  IdleSlots.push_back(Server);
+  Completion Done = InService.take(Server);
   Sched.traceStampOn(Trace, TracePoint::ServiceEnd);
   if (LockOrderGraph *G = Sched.lockOrder())
     G->onReleased(this, Trace);
@@ -89,8 +80,7 @@ void Resource::finishOne(uint64_t FinishedTrace) {
   --Busy;
   ++Completed;
   if (!Waiting.empty()) {
-    Pending Next = std::move(Waiting.front());
-    Waiting.pop_front();
+    Pending Next = Waiting.pop();
     // The server freed by FinishedTrace now serves Next: a real
     // synchronization edge between the two operations.
     if (HBTracker *T = Sched.happensBefore())

@@ -16,8 +16,9 @@
 
 #include "sim/Scheduler.h"
 #include "sim/Time.h"
+#include "support/FifoRing.h"
+#include "support/IdTable.h"
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -94,12 +95,11 @@ private:
   double Slowdown = 1.0;
   uint64_t Completed = 0;
   SimDuration BusyTime = 0;
-  std::deque<Pending> Waiting;
+  FifoRing<Pending> Waiting;
   /// Completions of the requests in service, one slot per busy server, so
   /// the service-end event captures a slot index instead of the (possibly
   /// boxed) completion. Bounded by NumServers.
-  std::vector<Completion> InService;
-  std::vector<uint32_t> IdleSlots;
+  SlotTable<Completion> InService;
   bool Metrics = false;
   std::vector<MetricsSample> Samples;
 };

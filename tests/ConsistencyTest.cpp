@@ -375,6 +375,146 @@ TEST(Journal, CrashDuringOutOfOrderCommitRecoversPrefix) {
   EXPECT_TRUE(Vol->fsck().clean());
 }
 
+TEST(Journal, InterleavedVolumesEachCommitTheirOwnPrefix) {
+  // Two volumes share one log; each volume's committed set is a prefix of
+  // its own records, whatever the other volume's holes.
+  MetadataJournal J;
+  uint64_t A1 = *J.append("a", makeMkdir("/a1"), 0);
+  uint64_t B1 = *J.append("b", makeMkdir("/b1"), 0);
+  uint64_t A2 = *J.append("a", makeMkdir("/a2"), 0);
+  uint64_t B2 = *J.append("b", makeMkdir("/b2"), 0);
+  uint64_t A3 = *J.append("a", makeMkdir("/a3"), 0);
+  std::vector<uint64_t> HookOrder;
+  J.onCommit([&HookOrder](uint64_t Seq) { HookOrder.push_back(Seq); });
+
+  J.commit(A2); // held behind A1
+  J.commit(B2); // held behind B1
+  EXPECT_TRUE(HookOrder.empty());
+  EXPECT_EQ(3u, J.uncommittedCount("a"));
+  EXPECT_EQ(2u, J.uncommittedCount("b"));
+  J.commit(B1); // releases B1, B2; A's hole stays
+  EXPECT_EQ((std::vector<uint64_t>{B1, B2}), HookOrder);
+  EXPECT_FALSE(J.isCommitted(A2));
+  J.commit(A1); // releases A1, A2; A3 was never persisted
+  EXPECT_EQ((std::vector<uint64_t>{B1, B2, A1, A2}), HookOrder);
+  EXPECT_FALSE(J.isCommitted(A3));
+  EXPECT_EQ(1u, J.uncommittedCount("a"));
+  EXPECT_EQ(0u, J.uncommittedCount("b"));
+  EXPECT_EQ(4u, J.committedCount());
+}
+
+TEST(Journal, DiscardOnOneVolumeLeavesTheOtherFrontier) {
+  MetadataJournal J;
+  uint64_t A1 = *J.append("a", makeMkdir("/a1"), 0);
+  uint64_t B1 = *J.append("b", makeMkdir("/b1"), 0);
+  uint64_t A2 = *J.append("a", makeMkdir("/a2"), 0);
+  uint64_t B2 = *J.append("b", makeMkdir("/b2"), 0);
+  J.commit(A2); // persisted, but held behind A1
+  J.commit(B2); // persisted, but held behind B1
+
+  EXPECT_EQ(2u, J.discardUncommitted("a")); // the crash of volume a
+  EXPECT_TRUE(J.isDiscarded(A1));
+  EXPECT_TRUE(J.isDiscarded(A2));
+  EXPECT_EQ(0u, J.uncommittedCount("a"));
+  // b's records are untouched and its frontier still advances.
+  EXPECT_FALSE(J.isDiscarded(B1));
+  EXPECT_EQ(2u, J.uncommittedCount("b"));
+  J.commit(B1);
+  EXPECT_TRUE(J.isCommitted(B1));
+  EXPECT_TRUE(J.isCommitted(B2));
+  // A late stable write of a discarded record changes nothing.
+  J.commit(A1);
+  EXPECT_FALSE(J.isCommitted(A1));
+  // New records of the crashed volume commit from a clean frontier.
+  uint64_t A3 = *J.append("a", makeMkdir("/a3"), 0);
+  J.commit(A3);
+  EXPECT_TRUE(J.isCommitted(A3));
+}
+
+TEST(Journal, ReplayIsPerVolume) {
+  MetadataJournal J;
+  for (const char *P : {"/x", "/y"}) {
+    J.commit(*J.append("a", makeMkdir(std::string(P) + "a"), 0));
+    J.commit(*J.append("b", makeMkdir(std::string(P) + "b"), 0));
+  }
+  J.commit(*J.append("b", makeRename("/xb", "/zb"), 0));
+  uint64_t Held = *J.append("a", makeMkdir("/held"), 0);
+  (void)Held; // never persisted: not replayed
+
+  OpCtx Ctx = userCtx();
+  LocalFileSystem A, B;
+  J.replay("a", A);
+  J.replay("b", B);
+  EXPECT_TRUE(A.stat(Ctx, "/xa").ok());
+  EXPECT_TRUE(A.stat(Ctx, "/ya").ok());
+  EXPECT_EQ(FsError::NoEnt, A.stat(Ctx, "/xb").error());
+  EXPECT_EQ(FsError::NoEnt, A.stat(Ctx, "/held").error());
+  EXPECT_TRUE(B.stat(Ctx, "/zb").ok()); // the rename's target replays
+  EXPECT_EQ(FsError::NoEnt, B.stat(Ctx, "/xb").error());
+  EXPECT_TRUE(B.stat(Ctx, "/yb").ok());
+  EXPECT_EQ(FsError::NoEnt, B.stat(Ctx, "/xa").error());
+}
+
+TEST(Journal, NeverSeenVolumeMatchesNothing) {
+  MetadataJournal J;
+  J.commit(*J.append("a", makeMkdir("/a1"), 0));
+  J.append("a", makeMkdir("/a2"), 0);
+  EXPECT_EQ(0u, J.uncommittedCount("zzz"));
+  EXPECT_EQ(0u, J.discardUncommitted("zzz"));
+  LocalFileSystem Fs;
+  J.replay("zzz", Fs);
+  OpCtx Ctx = userCtx();
+  EXPECT_EQ(FsError::NoEnt, Fs.stat(Ctx, "/a1").error());
+  // Asking about the unknown name disturbed nothing.
+  EXPECT_EQ(1u, J.uncommittedCount("a"));
+  EXPECT_EQ(2u, J.size());
+  LocalFileSystem A;
+  J.replay("a", A);
+  EXPECT_TRUE(A.stat(Ctx, "/a1").ok());
+  EXPECT_EQ(0u, MetadataJournal().uncommittedCount("a")); // empty journal
+}
+
+TEST(Journal, CommitHookAppendingNewVolumesDuringAdvance) {
+  // The commit hook runs inside advanceFrontier(). A hook that appends
+  // (and commits) records of volumes the journal has never seen grows the
+  // per-volume frontier table under the running advance, which must keep
+  // going from the right position afterwards.
+  MetadataJournal J;
+  uint64_t A1 = *J.append("a", makeMkdir("/a1"), 0);
+  uint64_t A2 = *J.append("a", makeMkdir("/a2"), 0);
+  uint64_t A3 = *J.append("a", makeMkdir("/a3"), 0);
+  std::vector<uint64_t> HookOrder, Nested;
+  bool Spawned = false;
+  J.onCommit([&](uint64_t Seq) {
+    HookOrder.push_back(Seq);
+    if (Seq != A1 || Spawned)
+      return;
+    Spawned = true;
+    for (int V = 0; V < 40; ++V) {
+      uint64_t S = *J.append("new" + std::to_string(V),
+                             makeMkdir("/n" + std::to_string(V)), 0);
+      Nested.push_back(S);
+      J.commit(S); // a nested advance on the new volume
+    }
+  });
+  J.commit(A3); // held behind A1, A2
+  J.commit(A2);
+  EXPECT_TRUE(HookOrder.empty());
+  J.commit(A1); // A1's hook spawns the new volumes; A2, A3 follow
+  std::vector<uint64_t> Want{A1};
+  Want.insert(Want.end(), Nested.begin(), Nested.end());
+  Want.push_back(A2);
+  Want.push_back(A3);
+  EXPECT_EQ(Want, HookOrder);
+  EXPECT_EQ(J.size(), J.committedCount());
+  EXPECT_EQ(0u, J.uncommittedCount("a"));
+  EXPECT_EQ(0u, J.uncommittedCount("new39"));
+  // The new volumes keep their own frontiers.
+  uint64_t Late = *J.append("new0", makeMkdir("/late"), 0);
+  J.commit(Late);
+  EXPECT_TRUE(J.isCommitted(Late));
+}
+
 TEST(Journal, RecoveredVolumeKeepsWorking) {
   Scheduler S;
   FileServer Server(S, ServerConfig());

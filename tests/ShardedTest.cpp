@@ -76,7 +76,8 @@ TEST(Sharded, PhysicalPathsRoundTrip) {
     EXPECT_EQ(Tok, Out.Token);
     EXPECT_EQ(P, Out.Partition);
     EXPECT_TRUE(Out.Leaf.empty());
-    ASSERT_TRUE(PartitionMap::parse(Dir + "/leafname", Out));
+    std::string Entry = Dir + "/leafname"; // Out.Leaf views it
+    ASSERT_TRUE(PartitionMap::parse(Entry, Out));
     EXPECT_EQ(Tok, Out.Token);
     EXPECT_EQ(P, Out.Partition);
     EXPECT_EQ("leafname", Out.Leaf);
@@ -307,6 +308,122 @@ TEST(Sharded, RedirectedRetransmitHitsMigratedDrcEntry) {
   MetaReply St = runSync(S, *C2, makeStat("/d/" + Mover));
   ASSERT_TRUE(St.ok());
   EXPECT_EQ(FileType::Directory, St.A.Type);
+}
+
+TEST(ShardedDrc, SideIndexedExtractionMatchesWholeCacheScan) {
+  // Differential check of the duplicate-request cache's per-partition side
+  // index: a seeded run of inserts (successes and cached failures), in-
+  // place refreshes that move an entry between partitions, FIFO
+  // evictions, crash prunes with in-flight records and split extractions
+  // on two volumes. Every extraction must return exactly what a scan of
+  // the whole cache selects — the same keys, in key order, with the same
+  // payloads — and the eviction queue must track the cache after every
+  // step.
+  Scheduler S;
+  ServerConfig Cfg;
+  Cfg.DuplicateRequestCacheSize = 48; // small: evictions are frequent
+  Cfg.CpuThreads = 4;
+  FileServer Server(S, Cfg);
+  const char *Vols[] = {"v0", "v1"};
+  uint32_t VolIds[2];
+  const uint64_t Tokens[] = {0x1234, 0xfeedface00000001ULL, 0x77};
+  for (int V = 0; V < 2; ++V) {
+    Server.addVolume(Vols[V]);
+    VolIds[V] = Server.volumeId(Vols[V]);
+  }
+  Server.enableJournal();
+  auto Apply = [&](int V, MetaRequest Req) {
+    Server.process(VolIds[V], Req, [](MetaReply) {});
+  };
+  for (int V = 0; V < 2; ++V) {
+    Apply(V, makeMkdir("/giga"));
+    for (uint64_t Tok : Tokens)
+      for (unsigned Part = 0; Part < 4; ++Part)
+        Apply(V, makeMkdir(PartitionMap::partitionDirName(Tok, Part)));
+  }
+  S.run();
+
+  const uint64_t Seed = 20261019;
+  Rng R(Seed);
+  auto RandomPath = [&]() {
+    if (R.below(8) == 0)
+      return std::string("/plain/f") + std::to_string(R.below(50));
+    return PartitionMap::partitionDirName(Tokens[R.below(3)],
+                                          static_cast<unsigned>(R.below(4))) +
+           "/n" + std::to_string(R.below(200));
+  };
+  uint64_t NextXid = 1;
+  std::vector<uint64_t> Keys; // every key ever inserted
+  unsigned Extractions = 0, NonEmpty = 0, Crashes = 0, Refreshes = 0;
+  for (int Step = 0; Step < 3000; ++Step) {
+    int V = static_cast<int>(R.below(2));
+    uint64_t Dice = R.below(100);
+    if (Dice < 70) {
+      // A fresh cacheable request: creates mostly succeed, unlinks of
+      // names never created fail and are cached as failures.
+      MetaRequest Req = R.below(3) ? makeMkdir(RandomPath())
+                                   : makeUnlink(RandomPath());
+      Req.ClientId = 1 + static_cast<uint32_t>(R.below(3));
+      Req.Xid = NextXid++;
+      Keys.push_back((uint64_t(Req.ClientId) << 40) ^ Req.Xid);
+      Apply(V, Req);
+    } else if (Dice < 78) {
+      // An in-place refresh of a (possibly evicted) key under a new path,
+      // which may move it to another partition or volume.
+      uint64_t Key = Keys[R.below(Keys.size())];
+      MetaReply Rep;
+      Rep.Err = R.below(2) ? FsError::Ok : FsError::Exists;
+      Server.adoptDrcEntry(VolIds[V], Key, MetaOp::Mkdir, Rep, RandomPath(),
+                           0);
+      ++Refreshes;
+    } else if (Dice < 80) {
+      Server.crashAndRecover(Vols[V]);
+      ++Crashes;
+    } else if (Dice < 90) {
+      // A split: extract the entries of one partition whose leaf moves at
+      // a random depth.
+      uint64_t Tok = Tokens[R.below(3)];
+      unsigned Part = static_cast<unsigned>(R.below(4));
+      unsigned Depth = static_cast<unsigned>(R.below(3));
+      auto Moves = [&](const std::string &Path) {
+        PartitionMap::ParsedPath P;
+        return PartitionMap::parse(Path, P) && P.Token == Tok &&
+               P.Partition == Part && !P.Leaf.empty() &&
+               PartitionMap::movesOnSplit(PartitionMap::hashName(P.Leaf),
+                                          Depth);
+      };
+      std::vector<FileServer::DrcExport> Want;
+      for (FileServer::DrcExport &E : Server.drcEntries(VolIds[V]))
+        if (Moves(E.Path))
+          Want.push_back(std::move(E));
+      std::vector<FileServer::DrcExport> Got =
+          Server.extractDrcEntries(VolIds[V], Tok, Part, Moves);
+      ASSERT_EQ(Want.size(), Got.size()) << "step " << Step;
+      for (size_t I = 0; I < Got.size(); ++I) {
+        EXPECT_EQ(Want[I].Key, Got[I].Key) << "step " << Step;
+        EXPECT_EQ(Want[I].Op, Got[I].Op) << "step " << Step;
+        EXPECT_EQ(Want[I].Path, Got[I].Path) << "step " << Step;
+        EXPECT_EQ(Want[I].Reply.Err, Got[I].Reply.Err) << "step " << Step;
+        EXPECT_EQ(Want[I].Reply.A.Ino, Got[I].Reply.A.Ino) << "step " << Step;
+      }
+      for (const FileServer::DrcExport &E : Server.drcEntries(VolIds[V]))
+        EXPECT_FALSE(Moves(E.Path)) << "step " << Step << ": not extracted";
+      ++Extractions;
+      NonEmpty += !Got.empty();
+    } else {
+      // Let some stable writes finish (commits, so some entries survive a
+      // later crash) while others stay in flight.
+      S.runUntil(S.now() + microseconds(R.below(400)));
+    }
+    ASSERT_EQ(Server.drcSize(), Server.drcEvictQueueSize()) << "step " << Step;
+    ASSERT_LE(Server.drcSize(), Cfg.DuplicateRequestCacheSize);
+  }
+  S.run();
+  EXPECT_GT(NonEmpty, 20u);
+  EXPECT_GT(Extractions, 100u);
+  EXPECT_GT(Crashes, 10u);
+  EXPECT_GT(Refreshes, 50u);
+  EXPECT_EQ(Server.drcSize(), Server.drcEvictQueueSize());
 }
 
 //===----------------------------------------------------------------------===//

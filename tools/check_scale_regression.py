@@ -17,13 +17,21 @@ runner scales both numbers down together; a real scale-out regression
 (e.g. an accidental O(n log n) step at large client counts) shows up as a
 drop in the ratio at the affected points only.
 
+One run's normalized rate spreads about as widely as the threshold on a
+single host, so --measured may be given several times: the exact counts
+are checked in every run, and the guard compares the per-point median of
+the runs' normalized rates. One slow run out of three cannot fail the
+gate; a real regression slows every run.
+
 Usage:
   tools/check_scale_regression.py --baseline BENCH_engine.json \
-      --measured build/BENCH_engine.json [--threshold 0.10]
+      --measured build/BENCH_engine-1.json [--measured ...] \
+      [--threshold 0.10]
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -62,39 +70,48 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--baseline", required=True,
                     help="committed BENCH_engine.json")
-    ap.add_argument("--measured", required=True,
-                    help="freshly measured BENCH_engine.json")
+    ap.add_argument("--measured", required=True, action="append",
+                    help="freshly measured BENCH_engine.json; repeat for "
+                         "several runs, compared by their per-point median")
     ap.add_argument("--threshold", type=float, default=0.10,
                     help="max allowed fractional regression per point")
     args = ap.parse_args()
 
-    base_doc, got_doc = load(args.baseline), load(args.measured)
+    base_doc = load(args.baseline)
+    got_docs = [load(path) for path in args.measured]
     base = normalized_curve(base_doc)
-    got = normalized_curve(got_doc)
     if not base:
         print("check_scale_regression: baseline has no scale curve; "
               "nothing to guard")
         return 0
+    runs = [normalized_curve(doc) for doc in got_docs]
 
-    shared = sorted(set(base) & set(got))
+    # A point is compared only when every run measured it.
+    shared = sorted(set(base).intersection(*(set(r) for r in runs)))
     if not shared:
         print("check_scale_regression: no shared curve points between "
               "baseline and measured runs", file=sys.stderr)
         return 1
 
     failed = False
-    for clients, field, want, have in exact_count_mismatches(base_doc,
-                                                             got_doc):
-        print(f"  {clients:>8} clients: {field} {have} vs baseline {want} "
-              f"MISMATCH")
-        failed = True
+    for path, doc in zip(args.measured, got_docs):
+        for clients, field, want, have in exact_count_mismatches(base_doc,
+                                                                 doc):
+            print(f"  {clients:>8} clients: {field} {have} vs baseline "
+                  f"{want} MISMATCH ({path})")
+            failed = True
     for clients in shared:
-        ratio = got[clients] / base[clients]
+        rates = [r[clients] for r in runs]
+        median = statistics.median(rates)
+        ratio = median / base[clients]
         status = "ok"
         if ratio < 1.0 - args.threshold:
             status = "REGRESSED"
             failed = True
-        print(f"  {clients:>8} clients: normalized {got[clients]:.4f} vs "
+        spread = ""
+        if len(rates) > 1:
+            spread = f" [runs {min(rates):.4f}-{max(rates):.4f}]"
+        print(f"  {clients:>8} clients: normalized {median:.4f}{spread} vs "
               f"baseline {base[clients]:.4f} ({ratio:.2%}) {status}")
 
     if failed:
@@ -103,7 +120,8 @@ def main():
               f"or more points", file=sys.stderr)
         return 1
     print(f"check_scale_regression: {len(shared)} shared points with exact "
-          f"events and sim_ops, within {args.threshold:.0%} of baseline")
+          f"events and sim_ops in {len(runs)} run(s), median within "
+          f"{args.threshold:.0%} of baseline")
     return 0
 
 

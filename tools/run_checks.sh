@@ -21,12 +21,15 @@
 #   7. the perfbench work ledger: one lifecycle of each benchmark
 #      workload at seed 0 must reproduce perfbench/ledger.json exactly
 #      (CI runs it, and verify-schedules, only through this script),
-#   8. the trace, fault, hash-table, inode-table, directory-index and
-#      interval-log tests rebuilt under ASan+UBSan (always — the trace
-#      layer threads ids through every queue, the retry path keeps each
-#      RPC record alive across superseded attempts, the open-addressing
-#      table shifts slots on every erase, and the interval log indexes a
-#      tail behind an offset; all must stay memory-clean),
+#   8. the trace, fault, hash-table, inode-table, directory-index,
+#      interval-log, journal and DRC side-index tests rebuilt under
+#      ASan+UBSan (always — the trace layer threads ids through every
+#      queue, the retry path keeps each RPC record alive across superseded
+#      attempts, the open-addressing table shifts slots on every erase,
+#      the interval log indexes a tail behind an offset, the journal's
+#      commit hook may grow the frontier table under a running advance,
+#      and the DRC links entries by key across erases; all must stay
+#      memory-clean),
 #   9. (optionally) the full suite rebuilt under sanitizers.
 #
 # Exits nonzero on the first failure. Usage:
@@ -51,7 +54,7 @@ while [ $# -gt 0 ]; do
     -j) JOBS="$2"; shift ;;
     -j*) JOBS="${1#-j}" ;;
     -h|--help)
-      sed -n '2,37p' "$0"; exit 0 ;;
+      sed -n '2,40p' "$0"; exit 0 ;;
     *) echo "run_checks.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
   shift
@@ -144,15 +147,18 @@ else
   # run — exactly the kind of code where lifetime and out-of-bounds bugs
   # hide. The FlatIndex differential tests, the inode-table tests and
   # the directory-index and path-walk tests cover the table and its users;
-  # the interval-log tests cover the sparse per-process result logs.
-  step "trace, fault, table, directory and interval-log tests under ASan+UBSan (build-sanitize/)"
+  # the interval-log tests cover the sparse per-process result logs; the
+  # journal tests include a commit hook that appends records of new
+  # volumes mid-advance, and the DRC differential test drives the
+  # key-linked partition lists through evictions, prunes and splits.
+  step "trace, fault, table, directory, interval-log, journal and DRC tests under ASan+UBSan (build-sanitize/)"
   cmake -B "$ROOT/build-sanitize" -S "$ROOT" \
         -DDMB_SANITIZE="address,undefined" >/dev/null
   cmake --build "$ROOT/build-sanitize" -j "$JOBS" \
         --target trace_test fault_test flat_index_test fs_test path_walk_test \
-        interval_log_test
+        interval_log_test consistency_test sharded_test
   ctest --test-dir "$ROOT/build-sanitize" --output-on-failure -j "$JOBS" \
-        -R '^Trace|^Fault|^Network|^FlatIndex\.|^FsInodes\.|DirIndexParamTest|PathWalkTest|^IntervalLog'
+        -R '^Trace|^Fault|^Network|^FlatIndex\.|^FsInodes\.|DirIndexParamTest|PathWalkTest|^IntervalLog|^Journal\.|^ShardedDrc\.'
 fi
 
 echo
