@@ -40,9 +40,9 @@ enum class FsError {
   StaleMap     ///< ESTALEMAP: client routed with an outdated partition map.
 };
 
-/// Number of FsError values. Kept in sync with the enum above; both the
-/// dmeta-lint table-sync check and the exhaustive round-trip test in
-/// tests/SupportTest.cpp verify it.
+/// Number of FsError values. Kept in sync with the enum above; both
+/// dmeta-analyze's error-table check and the exhaustive round-trip test
+/// in tests/SupportTest.cpp verify it.
 inline constexpr unsigned NumFsErrors = 20;
 
 /// Returns the canonical short name ("EEXIST", ...) for \p E.

@@ -72,7 +72,8 @@ TEST(Tokenizer, DigitSeparatorWithSuffixAndNeighbours) {
 }
 
 TEST(Tokenizer, DigitSeparatorSurvivesInSanitizedView) {
-  std::vector<std::string> San = sanitizeSource("int x = 1'000'000;\n");
+  std::vector<std::string> San =
+      tokenize("int x = 1'000'000;\n").SanitizedLines;
   ASSERT_EQ(1u, San.size());
   EXPECT_EQ("int x = 1'000'000;", San[0]);
 }
@@ -100,7 +101,7 @@ TEST(Tokenizer, CharUdlSuffixDoesNotBecomeAnIdentifier) {
 TEST(Tokenizer, CharLiteralKeepsItsQuotesInTheSanitizedView) {
   // Dropping the quotes entirely glued the neighbours together: f('x')
   // sanitized to f() and substring rules saw calls that are not there.
-  std::vector<std::string> San = sanitizeSource("f('x');\n");
+  std::vector<std::string> San = tokenize("f('x');\n").SanitizedLines;
   ASSERT_EQ(1u, San.size());
   EXPECT_EQ("f('');", San[0]);
 }

@@ -10,8 +10,12 @@
 #include "analyze/SymbolTable.h"
 #include "analyze/Tokenizer.h"
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string_view>
 #include <utility>
 
 using namespace dmb;
@@ -19,30 +23,49 @@ using namespace dmb::analyze;
 
 namespace {
 
-const char *ToolName = "dmeta-analyze";
-
-bool startsWith(const std::string &S, const char *Prefix) {
-  return S.rfind(Prefix, 0) == 0;
-}
-
-bool endsWith(const std::string &S, const char *Suffix) {
-  std::string Suf(Suffix);
-  return S.size() >= Suf.size() &&
-         S.compare(S.size() - Suf.size(), Suf.size(), Suf) == 0;
-}
-
 /// Rules about values that must not differ across identical runs apply to
 /// everything whose output lands in results, traces or schedules.
 bool determinismScope(const std::string &RelPath) {
-  return startsWith(RelPath, "src/") || startsWith(RelPath, "bench/") ||
-         startsWith(RelPath, "tools/");
+  return RelPath.starts_with("src/") || RelPath.starts_with("bench/") ||
+         RelPath.starts_with("tools/");
 }
 
 /// Callback-lifetime applies where a scheduled callback can outlive the
 /// frame that created it. tests/ and bench/ drive the scheduler to
 /// completion inside the capturing frame, so they are exempt.
 bool lifetimeScope(const std::string &RelPath) {
-  return startsWith(RelPath, "src/") || startsWith(RelPath, "tools/");
+  return RelPath.starts_with("src/") || RelPath.starts_with("tools/");
+}
+
+/// Directories whose code must not read host time or stdlib randomness at
+/// all (wall-clock, randomness): the simulation substrate plus everything
+/// whose output is compared against recorded results — tests/, bench/
+/// and tools/ drive simulations that must replay bit-for-bit. The rest of
+/// src/ may (src/analysis post-processes results on the host); a host
+/// value reaching output there is determinism-taint's business.
+bool replayScope(const std::string &RelPath) {
+  return RelPath.starts_with("src/sim/") || RelPath.starts_with("src/dfs/") ||
+         RelPath.starts_with("src/cluster/") ||
+         RelPath.starts_with("tests/") || RelPath.starts_with("bench/") ||
+         RelPath.starts_with("tools/");
+}
+
+/// trace-clock: simulation code whose trace stamps must read the owning
+/// scheduler's clock, minus the sink itself and the Scheduler, which owns
+/// that clock.
+bool traceClockScope(const std::string &RelPath) {
+  return (RelPath.starts_with("src/sim/") || RelPath.starts_with("src/dfs/")) &&
+         !RelPath.starts_with("src/sim/Trace.") &&
+         !RelPath.starts_with("src/sim/Scheduler.");
+}
+
+/// event-queue: a hand-rolled priority queue next to the scheduler
+/// silently diverges from its (When, TieKey) order discipline; only the
+/// EventQueue implementation may use heap primitives. tests/ are exempt
+/// (fixtures quote the spellings on purpose).
+bool eventQueueScope(const std::string &RelPath) {
+  return determinismScope(RelPath) &&
+         !RelPath.starts_with("src/sim/EventQueue.");
 }
 
 bool isPunct(const Token &T, const char *Text) {
@@ -51,6 +74,16 @@ bool isPunct(const Token &T, const char *Text) {
 
 bool isIdent(const Token &T, const char *Text) {
   return T.Kind == TokKind::Ident && T.Text == Text;
+}
+
+/// True when token \p I is immediately followed by the punctuation \p P.
+bool followedBy(const std::vector<Token> &T, size_t I, const char *P) {
+  return I + 1 < T.size() && isPunct(T[I + 1], P);
+}
+
+/// True when token \p I is spelled std::<it>.
+bool stdQualified(const std::vector<Token> &T, size_t I) {
+  return I >= 2 && isPunct(T[I - 1], "::") && isIdent(T[I - 2], "std");
 }
 
 /// Index of the token matching the closer at \p CloseIdx, walking
@@ -84,6 +117,182 @@ bool isLambdaIntroducer(const std::vector<Token> &T, size_t I) {
   return isIdent(P, "return");
 }
 
+/// True when the first template argument of the '<' at \p Lt spells a
+/// pointer type (`Foo *`), i.e. a '*' appears before the first top-level
+/// comma.
+bool firstArgIsPointer(const std::vector<Token> &T, size_t Lt) {
+  size_t Close = matchForward(T, Lt);
+  if (Close >= T.size())
+    return false;
+  int Angle = 0;
+  for (size_t I = Lt + 1; I < Close; ++I) {
+    if (isPunct(T[I], "<"))
+      ++Angle;
+    else if (isPunct(T[I], ">"))
+      --Angle;
+    else if (Angle == 0 && isPunct(T[I], ","))
+      return false;
+    else if (Angle == 0 && isPunct(T[I], "*"))
+      return true;
+  }
+  return false;
+}
+
+//===----------------------------------------------------------------------===//
+// The source table: spellings banned on sight, and taint seeds
+//===----------------------------------------------------------------------===//
+
+/// How a source-table entry is spelled in the token stream.
+enum class Shape {
+  Name,     ///< the identifier, anywhere
+  Call,     ///< the identifier followed by '('
+  StdName,  ///< std::<identifier>
+  ClockNow, ///< <identifier naming a clock>::now(
+  PtrToInt, ///< reinterpret_cast<uintptr_t> / <intptr_t>
+  PtrHash,  ///< hash<T *>
+};
+
+/// One spelling, the rule that flags it wherever it appears in that
+/// rule's scope (BannedBy, or null), and whether determinism-taint tracks
+/// the values it produces to their sinks (Seed). A Call seed counts only
+/// as a plain or std:: call: a member or a declaration of the same name
+/// is not the libc function. Each identifier appears once.
+struct SourceEntry {
+  Shape How;
+  std::string_view Ident;
+  const char *Label; ///< how findings name the spelling
+  const char *BannedBy;
+  bool Seed;
+};
+
+const SourceEntry SourceTable[] = {
+    // Host time.
+    {Shape::StdName, "chrono", "std::chrono", "wall-clock", false},
+    {Shape::Call, "time", "time()", "wall-clock", true},
+    {Shape::Call, "gettimeofday", "gettimeofday()", "wall-clock", true},
+    {Shape::Name, "clock_gettime", "clock_gettime", "wall-clock", false},
+    {Shape::ClockNow, "now", "::now()", nullptr, true},
+    // Stdlib randomness.
+    {Shape::Call, "rand", "rand()", "randomness", true},
+    {Shape::Call, "srand", "srand()", "randomness", true},
+    {Shape::Call, "drand48", "drand48()", "randomness", true},
+    {Shape::Name, "random_device", "std::random_device", "randomness", true},
+    {Shape::Name, "mt19937", "mt19937", "randomness", false},
+    {Shape::Name, "mt19937_64", "mt19937_64", "randomness", false},
+    // Process identity and addresses.
+    {Shape::Call, "getpid", "getpid()", nullptr, true},
+    {Shape::PtrToInt, "reinterpret_cast", "pointer-to-integer cast", nullptr,
+     true},
+    {Shape::PtrHash, "hash", "pointer hash", nullptr, true},
+    // Bypasses of the scheduler's clock and of its one event order.
+    {Shape::Call, "beginOp", "beginOp()", "trace-clock", false},
+    {Shape::Call, "stamp", "stamp()", "trace-clock", false},
+    {Shape::Call, "finishOp", "finishOp()", "trace-clock", false},
+    {Shape::StdName, "priority_queue", "std::priority_queue", "event-queue",
+     false},
+    {Shape::Call, "push_heap", "push_heap()", "event-queue", false},
+    {Shape::Call, "pop_heap", "pop_heap()", "event-queue", false},
+    {Shape::Call, "make_heap", "make_heap()", "event-queue", false},
+};
+
+/// The rules that flag a source-table spelling on sight: where each
+/// applies, and its message around the spelling's label.
+struct BanRule {
+  const char *Name;
+  bool (*InScope)(const std::string &RelPath);
+  const char *What, *Fix;
+};
+
+const BanRule BanRules[] = {
+    {"wall-clock", replayScope, "host clock call",
+     "in deterministic code; use Scheduler::now() / SimTime"},
+    {"randomness", replayScope, "unseeded randomness",
+     "in deterministic code; use support/Random"},
+    {"trace-clock", traceClockScope, "direct OpTraceSink call",
+     "outside the scheduler; use Scheduler::traceBegin()/traceStamp() so "
+     "stamps read the owning clock"},
+    {"event-queue", eventQueueScope, "heap scheduling primitive",
+     "outside sim/EventQueue; route pending-event ordering through the "
+     "EventQueue interface so every event shares one (time, tie-key) order"},
+};
+
+/// The source-table entry spelled at token \p I, or null.
+const SourceEntry *sourceAt(const std::vector<Token> &T, size_t I) {
+  if (T[I].Kind != TokKind::Ident)
+    return nullptr;
+  for (const SourceEntry &S : SourceTable) {
+    if (T[I].Text != S.Ident)
+      continue;
+    bool Hit = false;
+    switch (S.How) {
+    case Shape::Name:
+      Hit = true;
+      break;
+    case Shape::Call:
+      Hit = followedBy(T, I, "(");
+      break;
+    case Shape::StdName:
+      Hit = stdQualified(T, I);
+      break;
+    case Shape::ClockNow:
+      Hit = I >= 2 && isPunct(T[I - 1], "::") &&
+            T[I - 2].Kind == TokKind::Ident &&
+            (T[I - 2].Text.find("clock") != std::string::npos ||
+             T[I - 2].Text.find("Clock") != std::string::npos) &&
+            followedBy(T, I, "(");
+      break;
+    case Shape::PtrToInt:
+      Hit = followedBy(T, I, "<") && I + 2 < T.size() &&
+            (isIdent(T[I + 2], "uintptr_t") || isIdent(T[I + 2], "intptr_t"));
+      break;
+    case Shape::PtrHash:
+      Hit = followedBy(T, I, "<") && firstArgIsPointer(T, I + 1);
+      break;
+    }
+    return Hit ? &S : nullptr;
+  }
+  return nullptr;
+}
+
+/// Expected include-guard macro: DMETABENCH_<DIR>_<FILE>_H. The "src"
+/// prefix is dropped, and an umbrella directory matching the project name
+/// (src/dmetabench/DMetabench.h) is not repeated.
+std::string expectedGuard(const std::string &RelPath) {
+  std::string Stem = RelPath.substr(0, RelPath.size() - 2); // drop ".h"
+  std::vector<std::string> Parts;
+  std::string Cur;
+  for (char C : Stem) {
+    if (C == '/') {
+      Parts.push_back(Cur);
+      Cur.clear();
+    } else {
+      char U = (C >= 'a' && C <= 'z') ? static_cast<char>(C - 'a' + 'A') : C;
+      Cur += isIdentChar(U) ? U : '_';
+    }
+  }
+  Parts.push_back(Cur);
+  size_t First = 0;
+  if (!Parts.empty() && Parts[First] == "SRC")
+    ++First;
+  if (First < Parts.size() && Parts[First] == "DMETABENCH")
+    ++First;
+  std::string Guard = "DMETABENCH";
+  for (size_t I = First; I < Parts.size(); ++I)
+    Guard += "_" + Parts[I];
+  return Guard + "_H";
+}
+
+/// True when [Pos, end) contains a letter — the minimum for a suppression
+/// comment to count as justified.
+bool hasJustificationText(const std::string &Line, size_t Pos) {
+  for (size_t I = Pos; I < Line.size(); ++I) {
+    char C = Line[I];
+    if ((C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z'))
+      return true;
+  }
+  return false;
+}
+
 /// The engine proper: one instance per analyzeSources call, shared state
 /// is the parsed files and the harvested error-returning function names.
 class RuleEngine {
@@ -107,7 +316,7 @@ public:
       Tracked[F.RelPath] = trackContainers(F);
     for (const SourceFile &F : Files) {
       ContainerSets CS = Tracked[F.RelPath];
-      if (endsWith(F.RelPath, ".cpp")) {
+      if (F.RelPath.ends_with(".cpp")) {
         auto HdrIt = Tracked.find(
             F.RelPath.substr(0, F.RelPath.size() - 4) + ".h");
         if (HdrIt != Tracked.end())
@@ -123,12 +332,20 @@ public:
       UnorderedVars = CS.Unordered;
       PtrKeyedVars = CS.PtrKeyed;
       InplaceVars = CS.Inplace;
+      checkBannedSpellings(F);
+      checkRaiiGuard(F);
+      checkFaultDeterminism(F);
       if (determinismScope(F.RelPath)) {
         checkLoops(F);
         checkPointerFormatting(F);
         checkDiscardedErrors(F);
         checkDeterminismTaint(F);
         checkErrorPropagation(F);
+        // The shipped code, where a suppression or a header is read by
+        // others; tests/ quote bare suppressions in fixture strings.
+        checkSuppressionJustification(F);
+        if (F.RelPath.ends_with(".h"))
+          checkHeaderGuard(F);
       }
       if (lifetimeScope(F.RelPath)) {
         checkCallbackLifetime(F);
@@ -137,51 +354,300 @@ public:
         // callback-lifetime: they assert on final state, so an ignored
         // completion there is a deliberate fixture shape.
         checkSwallowedCompletionErrors(F);
+        // Release builds of src/ and tools/ define NDEBUG; tests/ and
+        // bench/ may use gtest's and the stdlib's assert machinery.
+        checkRawAssert(F);
       }
-      if (startsWith(F.RelPath, "src/") && endsWith(F.RelPath, ".h"))
+      if (F.RelPath.starts_with("src/") && F.RelPath.ends_with(".h"))
         checkNodiscardAnnotations(F);
     }
+    checkErrorTable();
     IncludeGraph Graph(Files);
     Graph.check(Out);
   }
 
+  /// Writes the call graph the run built (the --dot export).
+  void writeDot(std::ostream &OS) const { CG.writeDot(OS); }
+
 private:
+  const std::string &rawLine(const SourceFile &F, int Line) const {
+    return Line >= 1 && static_cast<size_t>(Line) <= F.RawLines.size()
+               ? F.RawLines[Line - 1]
+               : Empty;
+  }
+
   void emit(const SourceFile &F, int Line, const std::string &Rule,
             const std::string &Message) {
-    const std::string &Raw = Line >= 1 &&
-                                     static_cast<size_t>(Line) <=
-                                         F.RawLines.size()
-                                 ? F.RawLines[Line - 1]
-                                 : Empty;
-    if (allowedOnLine(Raw, ToolName, Rule))
+    if (!allowedOnLine(rawLine(F, Line), Rule))
+      Out.push_back({F.RelPath, Line, Rule, Message});
+  }
+
+  //===--------------------------------------------------------------------===
+  // Token-level rules (per file)
+  //===--------------------------------------------------------------------===
+
+  /// wall-clock, randomness, trace-clock, event-queue: a source-table
+  /// spelling in its rule's scope, reported once per rule and line.
+  void checkBannedSpellings(const SourceFile &F) {
+    const std::vector<Token> &T = F.Toks.Tokens;
+    int LastLine[std::size(BanRules)] = {};
+    for (size_t I = 0; I < T.size(); ++I) {
+      const SourceEntry *S = sourceAt(T, I);
+      if (!S || !S->BannedBy)
+        continue;
+      for (size_t R = 0; R < std::size(BanRules); ++R) {
+        const BanRule &B = BanRules[R];
+        if (std::strcmp(B.Name, S->BannedBy) != 0 ||
+            LastLine[R] == T[I].Line || !B.InScope(F.RelPath))
+          continue;
+        LastLine[R] = T[I].Line;
+        emit(F, T[I].Line, B.Name,
+             std::string(B.What) + " '" + S->Label + "' " + B.Fix);
+      }
+    }
+  }
+
+  void checkRawAssert(const SourceFile &F) {
+    const std::vector<Token> &T = F.Toks.Tokens;
+    for (size_t I = 0; I < T.size(); ++I) {
+      if (isIdent(T[I], "assert") && followedBy(T, I, "("))
+        emit(F, T[I].Line, "raw-assert",
+             "raw assert() vanishes in release builds; use DMB_ASSERT / "
+             "DMB_CHECK (support/Assert.h)");
+      else if (T[I].Kind == TokKind::Include && T[I].Text == "cassert")
+        emit(F, T[I].Line, "raw-assert",
+             "<cassert> include; use support/Assert.h");
+      else
+        continue;
+      while (I + 1 < T.size() && T[I + 1].Line == T[I].Line)
+        ++I; // one finding per line
+    }
+  }
+
+  /// raii-guard: only in files that use a host-thread mutex at all;
+  /// SimMutex and friends have their own lock()/unlock() protocol driven
+  /// by the scheduler, which RAII cannot express.
+  void checkRaiiGuard(const SourceFile &F) {
+    const std::vector<Token> &T = F.Toks.Tokens;
+    bool UsesHostMutex = false;
+    for (size_t I = 0; I < T.size() && !UsesHostMutex; ++I)
+      UsesHostMutex =
+          T[I].Kind == TokKind::Ident &&
+          (T[I].Text.starts_with("pthread_mutex") ||
+           ((T[I].Text == "mutex" || T[I].Text == "recursive_mutex" ||
+             T[I].Text == "timed_mutex" || T[I].Text == "shared_mutex") &&
+            stdQualified(T, I)));
+    if (!UsesHostMutex)
       return;
-    Out.push_back({F.RelPath, Line, Rule, Message});
+    for (size_t I = 0; I + 1 < T.size(); ++I) {
+      bool Member = (isIdent(T[I], "lock") || isIdent(T[I], "unlock")) &&
+                    I > 0 &&
+                    (isPunct(T[I - 1], ".") || isPunct(T[I - 1], "->")) &&
+                    followedBy(T, I, "(") && followedBy(T, I + 1, ")");
+      bool Pthread = (isIdent(T[I], "pthread_mutex_lock") ||
+                      isIdent(T[I], "pthread_mutex_unlock")) &&
+                     followedBy(T, I, "(");
+      if (!Member && !Pthread)
+        continue;
+      emit(F, T[I].Line, "raii-guard",
+           "manual lock()/unlock() in a file using a host mutex; pair "
+           "acquisitions through std::lock_guard / std::scoped_lock so "
+           "early returns and exceptions cannot leak the lock");
+      while (I + 1 < T.size() && T[I + 1].Line == T[I].Line)
+        ++I; // one finding per line
+    }
+  }
+
+  /// fault-determinism: only in files that handle a FaultPolicy in code (a
+  /// mention in a comment or string does not count). There every Rng must
+  /// be derived from the policy Seed at the point of use: a sequential
+  /// stream ties fault rolls to event-execution order and an ad-hoc seed
+  /// unties them from the scenario, either of which breaks replay and
+  /// schedule-perturbation invariance (verify-schedules).
+  void checkFaultDeterminism(const SourceFile &F) {
+    const std::vector<Token> &T = F.Toks.Tokens;
+    if (std::none_of(T.begin(), T.end(), [](const Token &Tk) {
+          return isIdent(Tk, "FaultPolicy");
+        }))
+      return;
+    std::set<int> SeedLines, Reported;
+    for (const Token &Tk : T)
+      if (Tk.Kind == TokKind::Ident &&
+          Tk.Text.find("Seed") != std::string::npos)
+        SeedLines.insert(Tk.Line);
+    for (const Token &Tk : T)
+      if (isIdent(Tk, "Rng") && !SeedLines.count(Tk.Line) &&
+          Reported.insert(Tk.Line).second)
+        emit(F, Tk.Line, "fault-determinism",
+             "Rng in fault-policy code not derived from a Seed on this "
+             "line; fault rolls must be a pure function of "
+             "(FaultPolicy.Seed, send time) — a sequential stream or ad-hoc "
+             "seed breaks schedule invariance");
+  }
+
+  /// header-guard, on raw lines: the first #ifndef must name the
+  /// canonical guard and be followed directly by its #define.
+  void checkHeaderGuard(const SourceFile &F) {
+    const std::vector<std::string> &Lines = F.RawLines;
+    std::string Expected = expectedGuard(F.RelPath);
+    for (size_t I = 0; I < Lines.size(); ++I) {
+      if (!Lines[I].starts_with("#ifndef "))
+        continue;
+      std::string Guard = Lines[I].substr(8);
+      while (!Guard.empty() && (Guard.back() == ' ' || Guard.back() == '\r'))
+        Guard.pop_back();
+      if (Guard != Expected)
+        emit(F, static_cast<int>(I + 1), "header-guard",
+             "guard '" + Guard + "' should be '" + Expected + "'");
+      else if (I + 1 >= Lines.size() || Lines[I + 1] != "#define " + Expected)
+        emit(F, static_cast<int>(I + 2), "header-guard",
+             "'#define " + Expected + "' must follow the #ifndef");
+      return;
+    }
+    emit(F, 0, "header-guard", "missing '#ifndef " + Expected + "'");
+  }
+
+  /// suppression-justification, on raw lines (suppressions live in
+  /// comments): every allow() hatch and NOLINT must carry trailing prose.
+  /// The patterns are split so this function does not flag itself.
+  void checkSuppressionJustification(const SourceFile &F) {
+    static const std::string Hatch = "dmeta-analyze: "
+                                     "allow(";
+    for (size_t L = 0; L < F.RawLines.size(); ++L) {
+      const std::string &Raw = F.RawLines[L];
+      int LineNo = static_cast<int>(L + 1);
+      size_t Pos = Raw.find(Hatch);
+      if (Pos != std::string::npos) {
+        size_t Close = Raw.find(')', Pos + Hatch.size());
+        if (Close == std::string::npos || !hasJustificationText(Raw, Close + 1))
+          emit(F, LineNo, "suppression-justification",
+               "dmeta-analyze allow() without a trailing justification; say "
+               "why the exception is sound so the reviewer can check the "
+               "reasoning, not just the suppression");
+      }
+      // clang-tidy spelling: "// NOLINT(rule): why". Only a NOLINT that
+      // opens a comment counts — prose mentions elsewhere in a sentence do
+      // not.
+      size_t Slashes = 0;
+      while ((Slashes = Raw.find("//", Slashes)) != std::string::npos) {
+        size_t P = Slashes + 2;
+        while (P < Raw.size() && (Raw[P] == ' ' || Raw[P] == '/'))
+          ++P;
+        Slashes = P;
+        if (Raw.compare(P, 6, "NOLI"
+                              "NT") != 0)
+          continue;
+        P += 6;
+        if (Raw.compare(P, 8, "NEXTLINE") == 0)
+          P += 8;
+        if (P < Raw.size() && Raw[P] == '(') {
+          size_t Close = Raw.find(')', P);
+          P = Close == std::string::npos ? Raw.size() : Close + 1;
+        }
+        if (!hasJustificationText(Raw, P))
+          emit(F, LineNo, "suppression-justification",
+               "NOLINT without a trailing justification; say why the "
+               "clang-tidy finding is a false positive here");
+      }
+    }
+  }
+
+  /// error-table: the FsError enum and NumFsErrors in src/support/Error.h
+  /// against the fsErrorName() case table in Error.cpp — in sync, with
+  /// unique names. Runs when the tree has both files.
+  void checkErrorTable() {
+    auto HIt = FileIndexOf.find("src/support/Error.h");
+    auto CppIt = FileIndexOf.find("src/support/Error.cpp");
+    if (HIt == FileIndexOf.end() || CppIt == FileIndexOf.end())
+      return;
+    const SourceFile &H = Files[HIt->second], &Cpp = Files[CppIt->second];
+
+    // enum class FsError [: type] { A [= x], B, ... }
+    const std::vector<Token> &HT = H.Toks.Tokens;
+    std::vector<std::string> Members;
+    for (size_t I = 0; I + 2 < HT.size() && Members.empty(); ++I) {
+      if (!isIdent(HT[I], "enum") || !isIdent(HT[I + 1], "class") ||
+          !isIdent(HT[I + 2], "FsError"))
+        continue;
+      size_t Open = I + 3;
+      while (Open < HT.size() && !isPunct(HT[Open], "{") &&
+             !isPunct(HT[Open], ";"))
+        ++Open;
+      size_t Close = matchForward(HT, Open);
+      for (size_t J = Open + 1; J < Close; ++J)
+        if (HT[J].Kind == TokKind::Ident &&
+            (isPunct(HT[J - 1], "{") || isPunct(HT[J - 1], ",")))
+          Members.push_back(HT[J].Text);
+    }
+    if (Members.empty()) {
+      emit(H, 0, "error-table", "enum class FsError not found");
+      return;
+    }
+
+    size_t DeclaredCount = 0;
+    bool HaveCount = false;
+    for (size_t I = 0; I + 2 < HT.size() && !HaveCount; ++I)
+      if (isIdent(HT[I], "NumFsErrors") && isPunct(HT[I + 1], "=") &&
+          HT[I + 2].Kind == TokKind::Number) {
+        DeclaredCount = std::strtoul(HT[I + 2].Text.c_str(), nullptr, 10);
+        HaveCount = true;
+      }
+    if (!HaveCount)
+      emit(H, 0, "error-table", "NumFsErrors constant missing");
+    else if (DeclaredCount != Members.size())
+      emit(H, 0, "error-table",
+           "NumFsErrors is " + std::to_string(DeclaredCount) +
+               " but the enum has " + std::to_string(Members.size()) +
+               " members");
+
+    // case FsError::X: ... return "NAME"; — the literal sits on the case's
+    // line or one of the next two.
+    const std::vector<Token> &CT = Cpp.Toks.Tokens;
+    std::vector<std::pair<std::string, std::string>> Cases;
+    for (size_t I = 0; I + 3 < CT.size(); ++I) {
+      if (!isIdent(CT[I], "case") || !isIdent(CT[I + 1], "FsError") ||
+          !isPunct(CT[I + 2], "::") || CT[I + 3].Kind != TokKind::Ident)
+        continue;
+      std::string Name;
+      for (size_t J = I + 4; J + 1 < CT.size() && CT[J].Line <= CT[I].Line + 2;
+           ++J)
+        if (isIdent(CT[J], "return") && CT[J + 1].Kind == TokKind::String) {
+          Name = CT[J + 1].Text;
+          break;
+        }
+      Cases.emplace_back(CT[I + 3].Text, Name);
+    }
+
+    for (const std::string &M : Members) {
+      size_t Count = 0;
+      for (const auto &C : Cases)
+        if (C.first == M)
+          ++Count;
+      if (Count == 0)
+        emit(Cpp, 0, "error-table",
+             "fsErrorName has no case for FsError::" + M);
+      else if (Count > 1)
+        emit(Cpp, 0, "error-table",
+             "fsErrorName has duplicate cases for FsError::" + M);
+    }
+    for (const auto &C : Cases) {
+      if (std::find(Members.begin(), Members.end(), C.first) == Members.end())
+        emit(Cpp, 0, "error-table",
+             "fsErrorName handles unknown member FsError::" + C.first);
+      if (C.second.empty())
+        emit(Cpp, 0, "error-table",
+             "case FsError::" + C.first + " does not return a name literal");
+    }
+    for (size_t I = 0; I < Cases.size(); ++I)
+      for (size_t J = I + 1; J < Cases.size(); ++J)
+        if (!Cases[I].second.empty() && Cases[I].second == Cases[J].second)
+          emit(Cpp, 0, "error-table",
+               "duplicate error name '" + Cases[I].second + "'");
   }
 
   //===--------------------------------------------------------------------===
   // Container declaration tracking (per file)
   //===--------------------------------------------------------------------===
-
-  /// True when the first template argument of the '<' at \p Lt spells a
-  /// pointer type (`Foo *`), i.e. a '*' appears before the first top-level
-  /// comma.
-  static bool firstArgIsPointer(const std::vector<Token> &T, size_t Lt) {
-    size_t Close = matchForward(T, Lt);
-    if (Close >= T.size())
-      return false;
-    int Angle = 0;
-    for (size_t I = Lt + 1; I < Close; ++I) {
-      if (isPunct(T[I], "<"))
-        ++Angle;
-      else if (isPunct(T[I], ">"))
-        --Angle;
-      else if (Angle == 0 && isPunct(T[I], ","))
-        return false;
-      else if (Angle == 0 && isPunct(T[I], "*"))
-        return true;
-    }
-    return false;
-  }
 
   /// Variables of interest declared by one file. Ordered holds names of
   /// deterministically-ordered associative containers, used only to
@@ -509,15 +975,12 @@ private:
              "streaming static_cast<void *> formats a pointer value; "
              "addresses differ between runs");
 
-      if (isIdent(T[I], "reinterpret_cast") && I + 2 < T.size() &&
-          isPunct(T[I + 1], "<") &&
-          (isIdent(T[I + 2], "uintptr_t") || isIdent(T[I + 2], "intptr_t")))
+      const SourceEntry *S = sourceAt(T, I);
+      if (S && S->How == Shape::PtrToInt)
         emit(F, T[I].Line, "pointer-identity",
              "reinterpret_cast of a pointer to an integer bakes an address "
              "into a value; addresses differ between runs");
-
-      if (isIdent(T[I], "hash") && I + 1 < T.size() &&
-          isPunct(T[I + 1], "<") && firstArgIsPointer(T, I + 1))
+      if (S && S->How == Shape::PtrHash)
         emit(F, T[I].Line, "pointer-identity",
              "std::hash over a pointer type hashes the address; hash by a "
              "stable id instead");
@@ -529,10 +992,9 @@ private:
   //===--------------------------------------------------------------------===
 
   /// Appends capture descriptions that take the address of (or a
-  /// reference to) a frame-local name: `[&x]` and `[p = &x]`. `[this]`,
-  /// by-value captures and the bare `[&]` default are not reported ([&]
-  /// without names gives the reviewer nothing to check; the named forms
-  /// are where dangles hide).
+  /// reference to) a frame-local name: `[&x]` and `[p = &x]`. `[this]` and
+  /// by-value captures are fine; the bare `[&]` default names nothing to
+  /// check per capture and is event-ref-capture's (checkCallbackLifetime).
   static void riskyCaptures(const std::vector<Token> &T, size_t Open,
                             size_t Close, std::vector<std::string> &Risky) {
     for (size_t I = Open + 1; I + 1 < Close; ++I) {
@@ -591,6 +1053,16 @@ private:
                    "capture by value or capture an owner that outlives "
                    "the schedule");
         }
+        // The [&] / [&, ...] default captures every local it touches.
+        if (Scheduled && isPunct(T[J + 1], "&") &&
+            (isPunct(T[J + 2], "]") || isPunct(T[J + 2], ",")))
+          emit(F, T[J].Line, "event-ref-capture",
+               "event callback captures locals by reference; the scheduler "
+               "may fire it after the enclosing frame is gone — capture by "
+               "value or capture 'this'");
+        // A lambda nested in this one's body runs inside it, not later.
+        if (size_t BodyEnd = lambdaBody(T, J).second; BodyEnd > J)
+          J = BodyEnd;
       }
     }
   }
@@ -604,7 +1076,7 @@ private:
   /// hand-maintaining a list.
   void harvestErrorFunctions() {
     for (const SourceFile &F : Files) {
-      if (!startsWith(F.RelPath, "src/"))
+      if (!F.RelPath.starts_with("src/"))
         continue;
       const std::vector<Token> &T = F.Toks.Tokens;
       for (size_t I = 0; I + 2 < T.size(); ++I) {
@@ -652,41 +1124,42 @@ private:
     return J == 0 ? std::string::npos : J - 1;
   }
 
+  /// True when the call whose callee name is at \p I is a whole
+  /// statement whose result nobody reads.
+  static bool isDiscardedCall(const std::vector<Token> &T, size_t I) {
+    if (!followedBy(T, I, "("))
+      return false;
+    size_t Close = matchForward(T, I + 1);
+    if (Close + 1 >= T.size() || !isPunct(T[Close + 1], ";"))
+      return false; // result feeds an expression
+    size_t Before = beforeChainHead(T, I);
+    if (Before == std::string::npos)
+      return false;
+    const Token &P = T[Before];
+    if (P.Kind == TokKind::Punct &&
+        (P.Text == ";" || P.Text == "{" || P.Text == "}" || P.Text == ":"))
+      return true;
+    if (isIdent(P, "else") || isIdent(P, "do"))
+      return true;
+    if (!isPunct(P, ")"))
+      return false;
+    // `(void)call();` is the sanctioned explicit discard; any other
+    // close-paren here is a control-statement header (if/for/while)
+    // followed by a discarded call statement.
+    size_t Open = matchBackward(T, Before);
+    return !(Open != std::string::npos && Open + 2 == Before &&
+             isIdent(T[Open + 1], "void"));
+  }
+
   void checkDiscardedErrors(const SourceFile &F) {
     const std::vector<Token> &T = F.Toks.Tokens;
-    for (size_t I = 0; I + 1 < T.size(); ++I) {
-      if (T[I].Kind != TokKind::Ident || !ErrorFns.count(T[I].Text) ||
-          !isPunct(T[I + 1], "("))
-        continue;
-      size_t Close = matchForward(T, I + 1);
-      if (Close + 1 >= T.size() || !isPunct(T[Close + 1], ";"))
-        continue; // result feeds an expression
-      size_t Before = beforeChainHead(T, I);
-      if (Before == std::string::npos)
-        continue;
-      const Token &P = T[Before];
-      bool Discarded = false;
-      if (P.Kind == TokKind::Punct &&
-          (P.Text == ";" || P.Text == "{" || P.Text == "}" || P.Text == ":"))
-        Discarded = true;
-      else if (isIdent(P, "else") || isIdent(P, "do"))
-        Discarded = true;
-      else if (isPunct(P, ")")) {
-        // `(void)call();` is the sanctioned explicit discard; any other
-        // close-paren here is a control-statement header (if/for/while)
-        // followed by a discarded call statement.
-        size_t Open = matchBackward(T, Before);
-        bool VoidCast = Open != std::string::npos && Open + 2 == Before &&
-                        isIdent(T[Open + 1], "void");
-        Discarded = !VoidCast;
-      }
-      if (!Discarded)
-        continue;
-      emit(F, T[I].Line, "discarded-error",
-           "result of '" + T[I].Text +
-               "()' (FsError/MetaReply) is discarded; check it or cast to "
-               "(void) with a comment");
-    }
+    for (size_t I = 0; I < T.size(); ++I)
+      if (T[I].Kind == TokKind::Ident && ErrorFns.count(T[I].Text) &&
+          isDiscardedCall(T, I))
+        emit(F, T[I].Line, "discarded-error",
+             "result of '" + T[I].Text +
+                 "()' (FsError/MetaReply) is discarded; check it or cast to "
+                 "(void) with a comment");
   }
 
   void checkNodiscardAnnotations(const SourceFile &F) {
@@ -764,7 +1237,7 @@ private:
         if (WrapperOf.count(S.Name) || ErrorFns.count(S.Name))
           continue;
         const std::string &Ret = S.ReturnType;
-        bool AutoRet = Ret == "auto" || endsWith(Ret, " auto");
+        bool AutoRet = Ret == "auto" || Ret.ends_with(" auto");
         if (!AutoRet)
           continue;
         const std::vector<Token> &T = Files[S.FileIndex].Toks.Tokens;
@@ -790,36 +1263,14 @@ private:
 
     // Half 1: a discarded call of a wrapper discards the wrapped
     // FsError/MetaReply — same statement shapes as discarded-error.
-    for (size_t I = 0; I + 1 < T.size(); ++I) {
-      if (T[I].Kind != TokKind::Ident || !WrapperOf.count(T[I].Text) ||
-          !isPunct(T[I + 1], "("))
-        continue;
-      size_t Close = matchForward(T, I + 1);
-      if (Close + 1 >= T.size() || !isPunct(T[Close + 1], ";"))
-        continue;
-      size_t Before = beforeChainHead(T, I);
-      if (Before == std::string::npos)
-        continue;
-      const Token &P = T[Before];
-      bool Discarded = false;
-      if (P.Kind == TokKind::Punct &&
-          (P.Text == ";" || P.Text == "{" || P.Text == "}" || P.Text == ":"))
-        Discarded = true;
-      else if (isIdent(P, "else") || isIdent(P, "do"))
-        Discarded = true;
-      else if (isPunct(P, ")")) {
-        size_t Open = matchBackward(T, Before);
-        bool VoidCast = Open != std::string::npos && Open + 2 == Before &&
-                        isIdent(T[Open + 1], "void");
-        Discarded = !VoidCast;
-      }
-      if (Discarded)
+    for (size_t I = 0; I < T.size(); ++I)
+      if (T[I].Kind == TokKind::Ident && WrapperOf.count(T[I].Text) &&
+          isDiscardedCall(T, I))
         emit(F, T[I].Line, "error-path-propagation",
              "result of '" + T[I].Text + "()' forwards the error of '" +
                  WrapperOf.at(T[I].Text) +
                  "()' but is discarded here; check it or cast to (void) "
                  "with a comment");
-    }
 
     // Half 2: an error result stored in a local the function never reads
     // again — the error is swallowed even though the call "used" it.
@@ -957,53 +1408,30 @@ private:
   //===--------------------------------------------------------------------===
 
   /// Returns a description when the token at \p I begins a
-  /// nondeterminism source, "" otherwise. Sources on a line carrying a
-  /// determinism-taint allow() are dead at the root: nothing derived from
-  /// them is tracked.
+  /// nondeterminism source (a Seed of the source table), "" otherwise.
+  /// Sources on a line carrying a determinism-taint allow() are dead at
+  /// the root: nothing derived from them is tracked.
   std::string taintSourceAt(const SourceFile &F, size_t I) {
     const std::vector<Token> &T = F.Toks.Tokens;
-    if (T[I].Kind != TokKind::Ident)
+    const SourceEntry *S = sourceAt(T, I);
+    if (!S || !S->Seed)
       return "";
-    std::string Desc;
-    if (T[I].Text == "random_device") {
-      Desc = "std::random_device";
-    } else if (I + 1 < T.size() && isPunct(T[I + 1], "(")) {
-      static const std::set<std::string> Libc = {"rand", "srand", "drand48",
-                                                 "gettimeofday", "getpid"};
-      if (Libc.count(T[I].Text)) {
-        // Plain or std:: call only; members and declarations are not the
-        // libc functions.
-        bool Plain = I == 0 || (T[I - 1].Kind == TokKind::Punct &&
-                                T[I - 1].Text != "." && T[I - 1].Text != "->" &&
-                                T[I - 1].Text != "::");
-        bool StdQual = I >= 2 && isPunct(T[I - 1], "::") &&
-                       isIdent(T[I - 2], "std");
-        if (Plain || StdQual)
-          Desc = T[I].Text + "()";
-      } else if (T[I].Text == "now" && I >= 2 && isPunct(T[I - 1], "::") &&
-                 T[I - 2].Kind == TokKind::Ident &&
-                 (T[I - 2].Text.find("clock") != std::string::npos ||
-                  T[I - 2].Text.find("Clock") != std::string::npos)) {
-        Desc = "wall-clock " + T[I - 2].Text + "::now()";
-      }
-    }
-    if (Desc.empty() && isIdent(T[I], "reinterpret_cast") && I + 2 < T.size() &&
-        isPunct(T[I + 1], "<") &&
-        (isIdent(T[I + 2], "uintptr_t") || isIdent(T[I + 2], "intptr_t")))
-      Desc = "pointer-to-integer cast";
-    if (Desc.empty() && isIdent(T[I], "hash") && I + 1 < T.size() &&
-        isPunct(T[I + 1], "<") && firstArgIsPointer(T, I + 1))
-      Desc = "pointer hash";
-    if (Desc.empty())
+    if (S->How == Shape::Call && !stdQualified(T, I) && I > 0 &&
+        (T[I - 1].Kind != TokKind::Punct || T[I - 1].Text == "." ||
+         T[I - 1].Text == "->" || T[I - 1].Text == "::"))
+      return ""; // a member, a declaration or another namespace's name
+    if (allowedOnLine(rawLine(F, T[I].Line), "determinism-taint"))
       return "";
-    const std::string &Raw =
-        T[I].Line >= 1 && static_cast<size_t>(T[I].Line) <= F.RawLines.size()
-            ? F.RawLines[T[I].Line - 1]
-            : Empty;
-    if (allowedOnLine(Raw, ToolName, "determinism-taint"))
-      return "";
-    return Desc;
+    if (S->How == Shape::ClockNow)
+      return "wall-clock " + T[I - 2].Text + "::now()";
+    return S->Label;
   }
+
+  /// Calls whose arguments land in traces, results or output.
+  inline static const std::set<std::string> SinkCalls = {
+      "printf",     "fprintf",      "snprintf",    "sprintf", "format",
+      "addRow",     "traceBegin",   "traceStamp",  "stamp",   "beginOp",
+      "finishOp",   "traceStampOn", "traceFinish"};
 
   /// Description when tokens [Begin, End) of definition \p D contain a
   /// tainted value: a source, a tainted local, or a call returning taint.
@@ -1032,10 +1460,6 @@ private:
 
     // Sink reachability: textual sinks in the body, then closed over the
     // call graph (a function that calls an emitting function emits).
-    static const std::set<std::string> SinkCalls = {
-        "printf",     "fprintf",     "snprintf",   "sprintf",  "format",
-        "addRow",     "traceBegin",  "traceStamp", "traceStampOn",
-        "traceFinish", "stamp",      "beginOp",    "finishOp"};
     for (int D : ST.definitions()) {
       const Symbol &S = Syms[D];
       const std::vector<Token> &T = Files[S.FileIndex].Toks.Tokens;
@@ -1149,10 +1573,6 @@ private:
     auto FIt = FileIndexOf.find(F.RelPath);
     if (FIt == FileIndexOf.end())
       return;
-    static const std::set<std::string> SinkCalls = {
-        "printf",     "fprintf",     "snprintf",   "sprintf",  "format",
-        "addRow",     "traceBegin",  "traceStamp", "traceStampOn",
-        "traceFinish", "stamp",      "beginOp",    "finishOp"};
     const std::vector<Token> &T = F.Toks.Tokens;
     for (int D : DefsByFile[FIt->second]) {
       const Symbol &S = ST.symbols()[D];
@@ -1376,20 +1796,21 @@ private:
 
 } // namespace
 
-std::vector<Finding> dmb::analyze::analyzeSources(
-    const std::vector<std::pair<std::string, std::string>> &Inputs) {
-  std::vector<SourceFile> Files;
-  Files.reserve(Inputs.size());
-  for (const auto &[Rel, Content] : Inputs) {
-    SourceFile F;
-    F.RelPath = Rel;
-    F.Content = Content;
-    F.Toks = tokenize(Content);
-    F.RawLines = splitLines(Content);
-    Files.push_back(std::move(F));
+namespace {
+
+/// Tokenizes each file once and runs every rule over the lot. \p Out may
+/// already hold findings from the tree walk; the result is sorted.
+std::vector<Finding> analyzeFiles(std::vector<SourceFile> &Files,
+                                  std::vector<Finding> Out,
+                                  std::ostream *Dot) {
+  for (SourceFile &F : Files) {
+    F.Toks = tokenize(F.Content);
+    F.RawLines = splitLines(F.Content);
   }
-  std::vector<Finding> Out;
-  RuleEngine(Files, Out).run();
+  RuleEngine Engine(Files, Out);
+  Engine.run();
+  if (Dot && !Files.empty())
+    Engine.writeDot(*Dot);
   std::sort(Out.begin(), Out.end(), [](const Finding &A, const Finding &B) {
     if (A.File != B.File)
       return A.File < B.File;
@@ -1402,53 +1823,50 @@ std::vector<Finding> dmb::analyze::analyzeSources(
   return Out;
 }
 
-std::vector<Finding> dmb::analyze::analyzeTree(const std::string &Root,
-                                               size_t *FilesChecked) {
-  std::vector<std::pair<std::string, std::string>> Inputs;
-  for (const std::string &Rel :
-       collectSourceFiles(Root, {"src", "tests", "bench", "tools"})) {
-    std::string Content;
-    if (readFile(Root + "/" + Rel, Content))
-      Inputs.push_back({Rel, std::move(Content)});
+} // namespace
+
+std::vector<Finding> dmb::analyze::analyzeSources(
+    const std::vector<std::pair<std::string, std::string>> &Inputs) {
+  std::vector<SourceFile> Files(Inputs.size());
+  for (size_t I = 0; I < Inputs.size(); ++I) {
+    Files[I].RelPath = Inputs[I].first;
+    Files[I].Content = Inputs[I].second;
   }
-  if (FilesChecked)
-    *FilesChecked = Inputs.size();
-  return analyzeSources(Inputs);
+  return analyzeFiles(Files, {}, nullptr);
 }
 
-bool dmb::analyze::writeCallGraphDot(const std::string &Root,
-                                     std::ostream &OS) {
+std::vector<Finding> dmb::analyze::analyzeTree(const std::string &Root,
+                                               size_t *FilesChecked,
+                                               std::ostream *Dot) {
   std::vector<SourceFile> Files;
-  for (const std::string &Rel :
+  std::vector<Finding> Out;
+  for (std::string &Rel :
        collectSourceFiles(Root, {"src", "tests", "bench", "tools"})) {
-    std::string Content;
-    if (!readFile(Root + "/" + Rel, Content))
-      continue;
     SourceFile F;
-    F.RelPath = Rel;
-    F.Content = std::move(Content);
-    F.Toks = tokenize(F.Content);
-    F.RawLines = splitLines(F.Content);
+    if (!readFile(Root + "/" + Rel, F.Content)) {
+      Out.push_back({Rel, 0, "io", "cannot read file"});
+      continue;
+    }
+    F.RelPath = std::move(Rel);
     Files.push_back(std::move(F));
   }
-  if (Files.empty())
-    return false;
-  SymbolTable ST;
-  ST.build(Files);
-  CallGraph CG;
-  CG.build(ST, Files);
-  CG.writeDot(OS);
-  return true;
+  if (FilesChecked)
+    *FilesChecked = Files.size();
+  return analyzeFiles(Files, std::move(Out), Dot);
 }
 
 const std::vector<std::string> &dmb::analyze::analyzeRuleNames() {
   static const std::vector<std::string> Names = {
-      "unordered-iteration",  "pointer-identity",
-      "callback-lifetime",    "discarded-error",
-      "nodiscard-annotation", "determinism-taint",
-      "error-path-propagation", "blocking-in-callback",
-      "swallowed-completion-error",
-      "layering",             "include-cycle",
-      "unused-include"};
+      // Token-level.
+      "wall-clock", "randomness", "trace-clock", "event-queue", "raw-assert",
+      "raii-guard", "fault-determinism", "event-ref-capture", "header-guard",
+      "suppression-justification", "error-table", "io",
+      // Symbol-aware.
+      "unordered-iteration", "pointer-identity", "callback-lifetime",
+      "discarded-error", "nodiscard-annotation", "swallowed-completion-error",
+      // Interprocedural.
+      "determinism-taint", "error-path-propagation", "blocking-in-callback",
+      // Include graph.
+      "layering", "include-cycle", "unused-include"};
   return Names;
 }

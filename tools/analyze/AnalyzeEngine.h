@@ -5,12 +5,69 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The engine behind tools/dmeta-analyze: symbol-aware determinism and
-/// lifetime rules that the line-level lint (tools/lint) cannot express.
-/// It works on the shared token stream (analyze/Tokenizer.h) plus the
-/// project include graph (analyze/IncludeGraph.h).
+/// The engine behind tools/dmeta-analyze, the repo's one static-analysis
+/// tool. Every file is read and tokenized once (analyze/Tokenizer.h);
+/// the rules below work on its token stream, its sanitized lines (comments
+/// stripped, literal contents blanked) and its raw lines, plus the
+/// project include graph (analyze/IncludeGraph.h) and, for the
+/// interprocedural rules, the whole-program symbol table and call graph.
 ///
-/// Rules:
+/// Token-level rules (per file; DESIGN.md key decision 4 and the
+/// hygiene the failure reports rely on):
+///  - wall-clock:   host-clock spellings (std::chrono, time(),
+///                  gettimeofday(), clock_gettime) anywhere in simulation
+///                  code (src/sim, src/dfs, src/cluster) or in tests/,
+///                  bench/ and tools/ — simulated components read
+///                  Scheduler::now(), nothing reads the host clock.
+///  - randomness:   stdlib randomness (rand(), srand(), drand48(),
+///                  random_device, mt19937) in the same scopes — all
+///                  randomness flows through the seeded support/Random Rng.
+///  - trace-clock:  direct OpTraceSink calls (beginOp / stamp / finishOp)
+///                  in src/sim or src/dfs outside sim/Trace.* and
+///                  sim/Scheduler.* — components record trace points via
+///                  Scheduler::traceBegin()/traceStamp(), so every
+///                  timestamp reads the owning scheduler's clock.
+///  - event-queue:  std::priority_queue / push_heap / pop_heap / make_heap
+///                  in src/, bench/ or tools/ outside sim/EventQueue.* —
+///                  pending-event ordering goes through the EventQueue
+///                  interface so every event shares one (time, tie-key)
+///                  order.
+///  - raw-assert:   assert() or <cassert> under src/ or tools/ — use
+///                  DMB_ASSERT / DMB_CHECK (support/Assert.h), which stay
+///                  armed in release builds and report sim time.
+///  - raii-guard:   in files using a host-thread mutex (std::mutex and
+///                  friends, pthread_mutex_t), manual lock()/unlock()
+///                  calls — acquisitions go through std::lock_guard /
+///                  std::scoped_lock. SimMutex is exempt: its
+///                  scheduler-driven protocol cannot be a scoped guard.
+///  - fault-determinism: in files that handle a FaultPolicy in code, an
+///                  Rng on a line that does not also name a Seed — fault
+///                  rolls are a pure function of (FaultPolicy.Seed, send
+///                  time); a sequential stream or an ad-hoc seed breaks
+///                  replay and schedule-perturbation invariance.
+///  - event-ref-capture: a default by-reference capture ([&] or [&, ...])
+///                  in a lambda handed to Scheduler::at()/after() in src/
+///                  or tools/ — the callback outlives the enclosing frame.
+///                  Reported from callback-lifetime's walk, so a call
+///                  spanning lines is seen, and a lambda nested inside the
+///                  scheduled callback's body is not.
+///  - header-guard: headers under src/, bench/ and tools/ must open with
+///                  the canonical DMETABENCH_<DIR>_<FILE>_H guard.
+///  - suppression-justification: every allow() hatch (see below) or
+///                  clang-tidy NOLINT in src/, bench/ and tools/ must carry
+///                  trailing text saying why the exception is sound.
+///                  tests/ are exempt: fixtures there quote bare
+///                  suppressions on purpose.
+///  - error-table:  the FsError enum, its NumFsErrors count and the
+///                  fsErrorName() case table (src/support/Error.{h,cpp})
+///                  stay in sync with unique names.
+///  - io:           a source file that cannot be read.
+///
+/// wall-clock, randomness, trace-clock and event-queue flag the spellings
+/// of one source table; determinism-taint seeds from the same table, so
+/// the two views of "nondeterminism source" cannot drift apart.
+///
+/// Symbol-aware rules:
 ///  - unordered-iteration: a range-for or .begin() loop over a
 ///    std::unordered_map/unordered_set variable whose body reaches an
 ///    output, trace, result or scheduling sink. Hash iteration order
@@ -57,12 +114,12 @@
 /// analyze/CallGraph.h — function summaries propagated over resolved call
 /// edges to a fixpoint):
 ///  - determinism-taint: nondeterminism sources (std::random_device,
-///    rand()/srand()/drand48(), wall-clock ::now() reads, getpid(),
-///    pointer-to-integer casts, pointer hashes) tracked through local
-///    assignments and function returns; flagged when a tainted value
-///    reaches a determinism sink — a trace/result call, a printf/stream
-///    emission, a scheduled time, or a call whose callee transitively
-///    reaches such a sink.
+///    rand()/srand()/drand48(), time()/gettimeofday(), wall-clock ::now()
+///    reads, getpid(), pointer-to-integer casts, pointer hashes) tracked
+///    through local assignments and function returns; flagged when a
+///    tainted value reaches a determinism sink — a trace/result call, a
+///    printf/stream emission, a scheduled time, or a call whose callee
+///    transitively reaches such a sink.
 ///  - error-path-propagation: the interprocedural half of
 ///    discarded-error. `auto`-returning wrappers that just forward an
 ///    FsError/MetaReply-returning call join the checked set
@@ -78,7 +135,7 @@
 ///    the scheduler loop via Scheduler::run/runUntil.
 ///
 /// A finding on a line containing "dmeta-analyze: allow(<rule>) <why>" is
-/// suppressed; the justification text is enforced by dmeta-lint's
+/// suppressed; the justification text is enforced by the
 /// suppression-justification rule.
 ///
 //===----------------------------------------------------------------------===//
@@ -96,9 +153,13 @@ namespace dmb {
 namespace analyze {
 
 /// Analyzes the repo tree under \p Root (src/, tests/, bench/, tools/).
-/// \p FilesChecked, when non-null, receives the number of files scanned.
+/// \p FilesChecked, when non-null, receives the number of files scanned
+/// (an unreadable file is an io finding, not a scanned file). \p Dot, when
+/// non-null and some file was scanned, receives the call graph the scan
+/// built, in Graphviz dot format.
 std::vector<Finding> analyzeTree(const std::string &Root,
-                                 size_t *FilesChecked = nullptr);
+                                 size_t *FilesChecked = nullptr,
+                                 std::ostream *Dot = nullptr);
 
 /// Analyzes in-memory sources given as (RelPath, Content) pairs — the
 /// unit-test entry point; identical semantics to analyzeTree.
@@ -107,11 +168,6 @@ analyzeSources(const std::vector<std::pair<std::string, std::string>> &Files);
 
 /// Rule names understood by analyzeTree, for --rule validation.
 const std::vector<std::string> &analyzeRuleNames();
-
-/// Builds the whole-tree symbol table and call graph under \p Root and
-/// writes it in Graphviz dot format (the --dot flag). Returns false when
-/// no sources are found.
-bool writeCallGraphDot(const std::string &Root, std::ostream &OS);
 
 } // namespace analyze
 } // namespace dmb

@@ -82,9 +82,11 @@ dmb::analyze::renderFindingsJson(const std::string &Tool, size_t FilesChecked,
 }
 
 bool dmb::analyze::allowedOnLine(const std::string &RawLine,
-                                 const std::string &Tool,
                                  const std::string &Rule) {
-  return RawLine.find(Tool + ": allow(" + Rule + ")") != std::string::npos;
+  // Split so this line does not read as an unjustified suppression.
+  return RawLine.find("dmeta-analyze: "
+                      "allow(" +
+                      Rule + ")") != std::string::npos;
 }
 
 bool dmb::analyze::readFile(const std::string &Path, std::string &Content) {

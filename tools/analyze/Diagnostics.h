@@ -5,18 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pieces tools/lint and tools/analyze share besides the tokenizer:
-/// the Finding record, the suppression escape hatch, the text and JSON
-/// renderers, and the deterministic source-tree walk. Keeping them here
-/// guarantees the two tools agree on output format (one GitHub problem
-/// matcher covers both) and on suppression spelling.
+/// The finding machinery of dmeta-analyze besides the tokenizer: the
+/// Finding record, the suppression escape hatch, the text and JSON
+/// renderers (one GitHub problem matcher covers the text form), and the
+/// deterministic source-tree walk.
 ///
 /// Suppressions: a finding on a line containing
 ///
-///   <tool>: allow(<rule>) <justification>
+///   dmeta-analyze: allow(<rule>) <justification>
 ///
 /// (e.g. "dmeta-analyze: allow(unused-include) kept for operator<<") is
-/// dropped. The justification text is mandatory — the lint engine's
+/// dropped. The justification text is mandatory — the
 /// suppression-justification rule flags bare allow() comments, so every
 /// suppression in the tree documents why it is sound.
 ///
@@ -49,11 +48,10 @@ std::string renderFinding(const Finding &F);
 std::string renderFindingsJson(const std::string &Tool, size_t FilesChecked,
                                const std::vector<Finding> &Findings);
 
-/// True when \p RawLine carries "<Tool>: allow(<Rule>)" for exactly this
-/// rule. Matches the raw (unsanitized) line: suppressions live in
+/// True when \p RawLine carries the allow(<Rule>) hatch above for exactly
+/// this rule. Matches the raw (unsanitized) line: suppressions live in
 /// comments.
-bool allowedOnLine(const std::string &RawLine, const std::string &Tool,
-                   const std::string &Rule);
+bool allowedOnLine(const std::string &RawLine, const std::string &Rule);
 
 /// Reads \p Path into \p Content; false on I/O failure.
 bool readFile(const std::string &Path, std::string &Content);

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyze/Tokenizer.h"
+#include <algorithm>
 
 using namespace dmb;
 using namespace dmb::analyze;
@@ -173,10 +174,9 @@ private:
     push(TokKind::String, StartLine, std::move(Text));
   }
 
-  /// Consumes a 'x' character literal. Contents are dropped (like the
-  /// lint sanitizer always did) but the quotes stay in the sanitized
-  /// view, so `f('x')` sanitizes to `f('')` rather than gluing the
-  /// neighbours together.
+  /// Consumes a 'x' character literal. Contents are dropped but the
+  /// quotes stay in the sanitized view, so `f('x')` sanitizes to `f('')`
+  /// rather than gluing the neighbours together.
   void charLit() {
     int StartLine = Line;
     emitSan('\'');
@@ -398,17 +398,10 @@ TokenizedSource dmb::analyze::tokenize(const std::string &Content) {
   TokenizedSource Out = Scanner(Content).run();
   // Keep the sanitized view aligned with splitLines() of the raw text:
   // one entry per raw line.
-  std::vector<std::string> Raw = splitLines(Content);
-  while (Out.SanitizedLines.size() < Raw.size())
-    Out.SanitizedLines.push_back("");
-  if (Out.SanitizedLines.size() > Raw.size())
-    Out.SanitizedLines.resize(Raw.size());
+  size_t RawLines = std::count(Content.begin(), Content.end(), '\n') +
+                    (Content.empty() || Content.back() == '\n' ? 0 : 1);
+  Out.SanitizedLines.resize(RawLines);
   return Out;
-}
-
-std::vector<std::string>
-dmb::analyze::sanitizeSource(const std::string &Content) {
-  return tokenize(Content).SanitizedLines;
 }
 
 size_t dmb::analyze::matchForward(const std::vector<Token> &Tokens,

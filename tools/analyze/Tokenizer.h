@@ -5,9 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A single-pass C++ tokenizer shared by tools/lint (line-level rules on
-/// sanitized text) and tools/analyze (symbol-aware rules on the token
-/// stream). One scan of a source file produces both views:
+/// The single-pass C++ tokenizer behind dmeta-analyze. One scan of a
+/// source file produces both views the rules work on:
 ///
 ///  - Tokens: identifiers, numbers, string/char literals, punctuation and
 ///    preprocessor directives, each stamped with its 1-based line and the
@@ -70,11 +69,8 @@ struct TokenizedSource {
 TokenizedSource tokenize(const std::string &Content);
 
 /// Splits \p Content into lines (LF or CRLF; final line without newline
-/// kept). Shared by the engines so raw and sanitized views line up.
+/// kept), so raw and sanitized views line up.
 std::vector<std::string> splitLines(const std::string &Content);
-
-/// Sanitized view only — equivalent to tokenize(Content).SanitizedLines.
-std::vector<std::string> sanitizeSource(const std::string &Content);
 
 /// True for [A-Za-z0-9_].
 bool isIdentChar(char C);

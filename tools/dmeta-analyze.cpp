@@ -1,37 +1,21 @@
-//===- tools/dmeta-analyze.cpp - Symbol-aware static analyzer -------------===//
+//===- tools/dmeta-analyze.cpp - The repo's static analyzer ---------------===//
 //
 // Part of the DMetabench reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Driver for the symbol-aware analyzer: determinism (unordered-iteration,
-/// pointer-identity), lifetime (callback-lifetime), error discipline
-/// (discarded-error, nodiscard-annotation), interprocedural dataflow
-/// (determinism-taint, error-path-propagation, blocking-in-callback over
-/// the whole-program symbol table and call graph) and architecture
-/// (layering, include-cycle, unused-include) rules over src/, tests/,
-/// bench/ and tools/. `--dot <file>` exports the call graph. See
-/// tools/analyze/AnalyzeEngine.h for the rule catalogue and DESIGN.md
-/// ("Static analysis") for the rationale.
+/// Driver for the repo's one static-analysis tool: token-level hygiene
+/// and determinism bans, symbol-aware determinism, lifetime and error
+/// discipline, interprocedural dataflow over the whole-program symbol
+/// table and call graph, and layering over src/, tests/, bench/ and
+/// tools/. Registered as a ctest, so `ctest` fails on findings like on a
+/// failing unit test. `--dot <file>` exports the call graph. See
+/// tools/analyze/AnalyzeEngine.h for the rule catalogue, ToolMain.h for
+/// flags and exit codes, and DESIGN.md ("Static analysis").
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analyze/AnalyzeEngine.h"
 #include "analyze/ToolMain.h"
 
-int main(int Argc, char **Argv) {
-  dmb::analyze::ToolConfig Cfg;
-  Cfg.Tool = "dmeta-analyze";
-  Cfg.Description =
-      "Symbol-aware determinism, lifetime and layering checks for the "
-      "DMetabench tree.";
-  Cfg.Rules = dmb::analyze::analyzeRuleNames();
-  Cfg.Run = [](const std::string &Root, size_t &FilesChecked) {
-    return dmb::analyze::analyzeTree(Root, &FilesChecked);
-  };
-  Cfg.WriteDot = [](const std::string &Root, std::ostream &OS) {
-    return dmb::analyze::writeCallGraphDot(Root, OS);
-  };
-  return dmb::analyze::toolMain(Argc, Argv, Cfg);
-}
+int main(int Argc, char **Argv) { return dmb::analyze::toolMain(Argc, Argv); }

@@ -4,11 +4,12 @@
 # Pre-merge gate for the DMetabench tree. Runs, in order:
 #
 #   1. a plain RelWithDebInfo build of everything,
-#   2. dmeta-lint and dmeta-analyze over the source tree — the analyzer
-#      also exports its call graph to build/callgraph.dot (uploaded as a
-#      CI artifact) and must finish inside a 20 s wall-time budget, so an
-#      interprocedural fixpoint regression fails the gate instead of
-#      silently slowing every presubmit,
+#   2. dmeta-analyze, the one static-analysis tool, over the source tree —
+#      it also exports the call graph its scan built to
+#      build/callgraph.dot (uploaded as a CI artifact) and must finish
+#      inside a 20 s wall-time budget, so an interprocedural fixpoint
+#      regression fails the gate instead of silently slowing every
+#      presubmit,
 #   3. the full ctest suite,
 #   4. a verify-schedules smoke pass (3 permuted schedules per scenario),
 #   5. an engine-throughput bench smoke at reduced sizes (writes
@@ -54,7 +55,7 @@ while [ $# -gt 0 ]; do
     -j) JOBS="$2"; shift ;;
     -j*) JOBS="${1#-j}" ;;
     -h|--help)
-      sed -n '2,40p' "$0"; exit 0 ;;
+      sed -n '2,41p' "$0"; exit 0 ;;
     *) echo "run_checks.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
   shift
@@ -66,17 +67,14 @@ step "configure + build (build/)"
 cmake -B "$ROOT/build" -S "$ROOT" >/dev/null
 cmake --build "$ROOT/build" -j "$JOBS"
 
-step "dmeta-lint"
-"$ROOT/build/tools/dmeta-lint" --root "$ROOT"
-
 step "dmeta-analyze (+ call-graph export, 20 s budget)"
 ANALYZE_T0="$(date +%s)"
 "$ROOT/build/tools/dmeta-analyze" --root "$ROOT" \
     --dot "$ROOT/build/callgraph.dot"
 ANALYZE_SECS="$(( $(date +%s) - ANALYZE_T0 ))"
-# The whole-tree symbol table, call graph and taint fixpoint run in well
-# under a second today; 20 s of headroom flags a complexity regression
-# without flaking on slow CI runners.
+# The token-level rules, the whole-tree symbol table, call graph and taint
+# fixpoint run in well under a second today; 20 s of headroom flags a
+# complexity regression without flaking on slow CI runners.
 if [ "$ANALYZE_SECS" -gt 20 ]; then
   echo "run_checks.sh: dmeta-analyze took ${ANALYZE_SECS}s (budget 20s)" >&2
   exit 1
