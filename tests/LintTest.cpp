@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyze/AnalyzeEngine.h"
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -558,6 +559,22 @@ TEST(LintErrorTable, DuplicateNameIsCaught) {
                     "}\n";
   std::vector<Violation> Vs = errorTable(H, Cpp);
   EXPECT_TRUE(hasRule(Vs, "error-table"));
+}
+
+// The shipped tree is clean under the token-level rules, and each of them
+// is registered with the engine so a scan of the real tree runs it.
+TEST(LintRealTree, SourceTreeIsClean) {
+  const std::vector<std::string> &Names = analyzeRuleNames();
+  for (const char *R :
+       {"wall-clock", "randomness", "trace-clock", "event-queue", "raw-assert",
+        "raii-guard", "fault-determinism", "event-ref-capture", "header-guard",
+        "suppression-justification", "error-table"})
+    EXPECT_NE(Names.end(), std::find(Names.begin(), Names.end(), R)) << R;
+  size_t Files = 0;
+  std::vector<Violation> Vs = analyzeTree(DMB_SOURCE_ROOT, &Files);
+  EXPECT_GT(Files, 100u);
+  for (const Violation &V : Vs)
+    ADD_FAILURE() << renderFinding(V);
 }
 
 } // namespace
